@@ -25,7 +25,7 @@ log = logging.getLogger(__name__)
 
 _ALLOWED_KEYS = {
     "gen": {"schema", "n_images", "image_size", "classes", "textures", "bias",
-            "objects_per_image", "size_range", "patch_margin", "seed", "out"},
+            "objects_per_image", "size_range", "seed", "out"},
     "train": {"schema", "dataset", "model", "optimizer", "iterations", "batch_size",
               "seed", "out"},
     "eval": {"schema", "dataset", "checkpoint", "seed", "out"},
@@ -145,8 +145,7 @@ def cmd_gen(cfg: dict, args) -> int:
         classes=tuple(classes), textures=tuple(textures), bias=bias,
         objects_per_image=tuple(cfg.get("objects_per_image", (1, 4))),
         seed=seed, out_dir=out,
-        size_range=tuple(cfg.get("size_range", (16, 44))),
-        patch_margin=float(cfg.get("patch_margin", 0.45)))
+        size_range=tuple(cfg.get("size_range", (16, 44))))
     _write_run_manifest(out, "gen", cfg, seed, ["manifest.json"])
     log.info("generated %d images under %s", len(manifest), out)
     return 0

@@ -246,7 +246,9 @@ def _run_backward(model: Model, cache, grad: np.ndarray,
         kind = op[0]
         if kind == "conv":
             _, name, stride, padding = op
-            grad = nn.conv2d_backward(saved, model.layers[name], grad, stride, padding)
+            # the stem's input is the image: skip the gradient nobody reads
+            grad = nn.conv2d_backward(saved, model.layers[name], grad, stride, padding,
+                                      input_grad=name != "stem")
         elif kind == "relu":
             grad = nn.relu_backward(saved, grad)
         elif kind == "bg":
@@ -476,9 +478,9 @@ def count_params_flops(model: Model, image_size: int | None = None):
             macs += cur * cur * oc * ic * k * k
         elif op[0] == "pool":
             if cfg.pooling_variant in ("avg", "mask"):
-                valid = nn.valid_window_counts(cur, cur, 3, 2, 1)
+                counts = nn.window_counts(cur, cur, 3, 2, 1)
                 in_c = model.layers["stage1" if cfg.pool_placement == "post_stem" else "stage2"].weights.shape[1]
-                macs += int(valid.sum()) * in_c + valid.shape[1] * in_c
+                macs += int(counts.sum()) * in_c + counts.size * in_c
             cur = nn.out_size(cur, 3, 2, 1)
     return params, macs
 

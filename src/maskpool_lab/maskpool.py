@@ -8,6 +8,12 @@ when downsampling masks by majority vote.
 
 The mask is a constant input: the backward pass routes gradient only into
 the pixels of the selected region and never differentiates the mask.
+
+Like the pooling ops in ``nn``, the operator reads its windows as strided
+views of the padded input and mask (``nn._windows``).  Window sums
+accumulate in float64, view by view in row-major window order from +0.0;
+that order fixes the rounding that keeps checkpoints and reports
+byte-identical, so it must not change.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import (FLOAT, Array, _check_geometry, _col2im, _im2col, _pad,
-                 as_nchw, out_size, valid_window_counts)
+from .nn import (FLOAT, Array, _check_geometry, _crop, _pad, _valid_windows,
+                 _windows, as_nchw, out_size)
 
 
 def as_binary_mask(m: Array) -> Array:
@@ -93,14 +99,6 @@ def build_pyramid(mask: Array, strides) -> MaskPyramid:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PoolWindowStats:
-    """Per-window FG/BG pixel counts over the valid positions."""
-
-    n_fg: Array  # (n, oh, ow)
-    n_bg: Array  # (n, oh, ow)
-
-
-@dataclass
 class MaskPoolRecord:
     """Branch decisions from a forward call, needed by the backward pass."""
 
@@ -111,15 +109,12 @@ class MaskPoolRecord:
     padding: int
 
 
-def window_stats(m: Array, n: int, h: int, w: int,
-                 kernel: int, stride: int, padding: int) -> PoolWindowStats:
-    mb = _mask_batch(m, n, h, w)
-    oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    mcols = _im2col(_pad(mb[:, None], padding), kernel, stride, oh, ow)
-    valid = valid_window_counts(h, w, kernel, stride, padding)
-    n_fg = (mcols * valid).sum(axis=2)[:, 0]
-    n_bg = valid.sum(axis=0) - n_fg
-    return PoolWindowStats(n_fg=n_fg.reshape(n, oh, ow), n_bg=n_bg.reshape(n, oh, ow))
+def _region_windows(mb: Array, kernel: int, stride: int, padding: int, oh: int, ow: int):
+    """Per window pixel, the (n, 1, oh, ow) 0/1 maps of valid FG and valid BG pixels."""
+    n, h, w = mb.shape
+    fg = _windows(_pad(mb[:, None], padding), kernel, stride, oh, ow)
+    valid = _valid_windows(h, w, kernel, stride, padding)
+    return fg, [v - f for v, f in zip(valid, fg)]
 
 
 def maskpool2d_forward(x: Array, m: Array, kernel: int = 3, stride: int = 2, padding: int = 1):
@@ -134,20 +129,16 @@ def maskpool2d_forward(x: Array, m: Array, kernel: int = 3, stride: int = 2, pad
     mb = _mask_batch(m, n, h, w)
     _check_geometry(h, w, kernel, stride, padding, pooling=True)
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    xcols = _im2col(_pad(x, padding), kernel, stride, oh, ow)            # (n,c,k2,L)
-    mcols = _im2col(_pad(mb[:, None], padding), kernel, stride, oh, ow)  # (n,1,k2,L)
-    valid = valid_window_counts(h, w, kernel, stride, padding)           # (k2,L)
-    fg = mcols * valid
-    n_fg = fg.sum(axis=2)                      # (n,1,L)
-    n_valid = valid.sum(axis=0)                # (L,)
-    branch_fg = n_fg >= (n_valid - n_fg)
-    sel = np.where(branch_fg[:, :, None, :], fg, valid - fg)
-    counts = np.where(branch_fg, n_fg, n_valid - n_fg)
-    y = (xcols * sel).sum(axis=2, dtype=np.float64) / counts
-    record = MaskPoolRecord(branch_fg=branch_fg.reshape(n, oh, ow),
-                            counts=counts.reshape(n, oh, ow).astype(FLOAT),
+    fg, bg = _region_windows(mb, kernel, stride, padding, oh, ow)
+    n_fg, n_bg = sum(fg), sum(bg)              # (n,1,oh,ow)
+    branch_fg = n_fg >= n_bg
+    counts = np.where(branch_fg, n_fg, n_bg)
+    total = np.zeros((n, c, oh, ow))
+    for v, f, b in zip(_windows(_pad(x, padding), kernel, stride, oh, ow), fg, bg):
+        total += v * np.where(branch_fg, f, b)
+    record = MaskPoolRecord(branch_fg=branch_fg[:, 0], counts=counts[:, 0],
                             kernel=kernel, stride=stride, padding=padding)
-    return y.reshape(n, c, oh, ow).astype(x.dtype), record
+    return (total / counts).astype(x.dtype), record
 
 
 def maskpool2d_backward(x: Array, m: Array, grad_out: Array, record: MaskPoolRecord) -> Array:
@@ -161,15 +152,13 @@ def maskpool2d_backward(x: Array, m: Array, grad_out: Array, record: MaskPoolRec
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
     if grad_out.shape != (n, c, oh, ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
-    mb = _mask_batch(m, n, h, w)
-    mcols = _im2col(_pad(mb[:, None], padding), kernel, stride, oh, ow)
-    valid = valid_window_counts(h, w, kernel, stride, padding)
-    fg = mcols * valid
-    branch = record.branch_fg.reshape(n, 1, 1, oh * ow)
-    sel = np.where(branch, fg, valid - fg)                       # (n,1,k2,L)
-    share = grad_out.reshape(n, c, oh * ow) / record.counts.reshape(n, 1, oh * ow)
-    gcols = share[:, :, None, :] * sel
-    return _col2im(gcols.astype(x.dtype), x.shape, kernel, stride, padding, oh, ow)
+    fg, bg = _region_windows(_mask_batch(m, n, h, w), kernel, stride, padding, oh, ow)
+    branch = record.branch_fg[:, None]
+    share = grad_out / record.counts[:, None]
+    gp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    for view, f, b in zip(_windows(gp, kernel, stride, oh, ow), fg, bg):
+        view += (share * np.where(branch, f, b)).astype(x.dtype, copy=False)
+    return _crop(gp, padding)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ Conventions:
   - convolution uses zero padding;
   - pooling ops exclude padded positions from counts, averages and maxima;
   - reductions (means, losses) accumulate in float64 before casting back.
+
+Convolution lowers its windows to im2col columns for one matmul.  Pooling has
+no weights to multiply, so it reads the kernel*kernel windows as strided
+views of the padded input (``_windows``) and never copies them.  Window sums
+(avg and mask pooling, forward and backward) accumulate view by view in
+row-major window order, starting from +0.0.  That order fixes every
+rounding, so it keeps checkpoints and reports byte-identical and must not
+change; tests/pool_reference.py holds the im2col kernels it must match.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 
 Array = np.ndarray
 
@@ -35,11 +43,6 @@ def as_nchw(x: Array) -> Array:
     if x.ndim != 4:
         raise ConfigurationError(f"expected 4-d (n,c,h,w) tensor, got shape {x.shape}")
     return x
-
-
-def assert_finite(x: Array, context: str = "tensor") -> None:
-    if not np.isfinite(x).all():
-        raise NumericError(f"non-finite value in {context}")
 
 
 @dataclass
@@ -108,14 +111,26 @@ def _check_geometry(h: int, w: int, kernel: int, stride: int, padding: int, pool
         raise ConfigurationError(f"pooling window of zero valid pixels: padding {padding} >= kernel {kernel}")
 
 
+def _windows(xp: Array, kernel: int, stride: int, oh: int, ow: int) -> list:
+    """The kernel*kernel strided views of padded input xp, in row-major window
+    order: view i*kernel + j is the (n, c, oh, ow) grid of window pixels (i, j)."""
+    return [xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            for i in range(kernel) for j in range(kernel)]
+
+
 def _im2col(xp: Array, kernel: int, stride: int, oh: int, ow: int) -> Array:
     """(n, c, H, W) padded input -> (n, c, kernel*kernel, oh*ow) window columns."""
     n, c = xp.shape[:2]
     cols = np.empty((n, c, kernel * kernel, oh, ow), dtype=xp.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[:, :, i * kernel + j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    for k, view in enumerate(_windows(xp, kernel, stride, oh, ow)):
+        cols[:, :, k] = view
     return cols.reshape(n, c, kernel * kernel, oh * ow)
+
+
+def _crop(xp: Array, padding: int) -> Array:
+    if padding:
+        return xp[:, :, padding:-padding, padding:-padding]
+    return xp
 
 
 def _col2im(cols: Array, shape, kernel: int, stride: int, padding: int, oh: int, ow: int) -> Array:
@@ -123,12 +138,9 @@ def _col2im(cols: Array, shape, kernel: int, stride: int, padding: int, oh: int,
     n, c, h, w = shape
     xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     cols = cols.reshape(n, c, kernel * kernel, oh, ow)
-    for i in range(kernel):
-        for j in range(kernel):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i * kernel + j]
-    if padding:
-        return xp[:, :, padding:padding + h, padding:padding + w]
-    return xp
+    for k, view in enumerate(_windows(xp, kernel, stride, oh, ow)):
+        view += cols[:, :, k]
+    return _crop(xp, padding)
 
 
 def _pad(x: Array, padding: int, value: float = 0.0) -> Array:
@@ -138,12 +150,17 @@ def _pad(x: Array, padding: int, value: float = 0.0) -> Array:
                   constant_values=value)
 
 
-def valid_window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Array:
-    """(kernel*kernel, oh*ow) 0/1 map of window positions that fall inside the image."""
+def _valid_windows(h: int, w: int, kernel: int, stride: int, padding: int) -> list:
+    """Per window pixel, the (1, 1, oh, ow) 0/1 map of windows where it lies inside the image."""
     oh = out_size(h, kernel, stride, padding)
     ow = out_size(w, kernel, stride, padding)
     ones = np.ones((1, 1, h, w), dtype=FLOAT)
-    return _im2col(_pad(ones, padding), kernel, stride, oh, ow)[0, 0]
+    return _windows(_pad(ones, padding), kernel, stride, oh, ow)
+
+
+def window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Array:
+    """(oh, ow) number of valid (non-padded) pixels in each window."""
+    return sum(_valid_windows(h, w, kernel, stride, padding))[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +185,11 @@ def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0) 
 
 
 def conv2d_backward(x: Array, p: LayerParams, grad_out: Array,
-                    stride: int = 1, padding: int = 0) -> Array:
-    """Gradients of conv2d_forward; accumulates into p.grad_weights / p.grad_bias."""
+                    stride: int = 1, padding: int = 0, input_grad: bool = True) -> Array | None:
+    """Gradients of conv2d_forward; accumulates into p.grad_weights / p.grad_bias.
+
+    Returns the input gradient, or None when ``input_grad`` is False (for a
+    first layer, whose input gradient nobody reads)."""
     x = as_nchw(x)
     grad_out = as_nchw(grad_out)
     oc, ic, kh, kw = p.weights.shape
@@ -182,6 +202,8 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array,
     # per-sample matmul then ordered sum over the batch keeps reductions fixed
     p.grad_weights += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape).astype(FLOAT)
     p.grad_bias += g.sum(axis=(0, 2)).astype(FLOAT)
+    if not input_grad:
+        return None
     gcols = np.matmul(p.weights.reshape(oc, -1).T.astype(x.dtype), g)
     return _col2im(gcols.reshape(n, ic, kh * kw, oh * ow), x.shape, kh, stride, padding, oh, ow)
 
@@ -195,25 +217,58 @@ def relu_forward(x: Array) -> Array:
 
 
 def relu_backward(x: Array, grad_out: Array) -> Array:
+    """grad_out where x > 0, else +0.0.
+
+    A branch-free bit select (AND with an all-ones or all-zeros word), so the
+    kept gradients pass through bit for bit, NaN and signed zeros included.
+    """
     x = as_nchw(x)
-    return np.where(x > 0, grad_out, 0.0).astype(x.dtype)
+    bits = np.dtype(f"u{x.itemsize}")
+    keep = np.multiply(x > 0, np.iinfo(bits).max, dtype=bits)
+    g = np.asarray(grad_out, dtype=x.dtype)
+    return np.bitwise_and(g.view(bits), keep, out=keep).view(x.dtype)
 
 
 # ---------------------------------------------------------------------------
 # pooling (padded positions are never counted, averaged or selected)
 # ---------------------------------------------------------------------------
 
+def _flat_index(argmax: Array, padded_shape, kernel: int, stride: int) -> Array:
+    """Flat index into the padded (n, c, H, W) buffer of each window's argmax pixel."""
+    n, c, hp, wp = padded_shape
+    oh, ow = argmax.shape[2:]
+    di, dj = np.divmod(np.arange(kernel * kernel), kernel)
+    origin = (np.arange(oh)[:, None] * wp + np.arange(ow)) * stride
+    plane = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
+    return plane + origin + (di * wp + dj)[argmax]
+
+
 def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
-    """Returns (pooled, argmax) where argmax is the in-window index (row-major,
-    first occurrence on ties) of the selected pixel."""
+    """Returns (pooled, argmax) where argmax is the (n, c, oh*ow) in-window index
+    (row-major) of the selected pixel: the first occurrence of the maximum, or
+    the first NaN when the window holds one, as ``np.argmax`` picks it."""
     x = as_nchw(x)
     n, c, h, w = x.shape
     _check_geometry(h, w, kernel, stride, padding, pooling=True)
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    cols = _im2col(_pad(x, padding, value=-np.inf), kernel, stride, oh, ow)
-    argmax = cols.argmax(axis=2)  # first occurrence on ties
-    y = np.take_along_axis(cols, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-    return y.reshape(n, c, oh, ow).astype(x.dtype), argmax
+    xp = _pad(x, padding, value=-np.inf)
+    views = _windows(xp, kernel, stride, oh, ow)
+    top = views[0].copy()
+    for v in views[1:]:
+        np.maximum(top, v, out=top)  # propagates NaN
+    # argmax counts the window pixels before the first one equal to the
+    # maximum (or NaN, when the maximum is NaN)
+    nan = np.isnan(top).any()
+    argmax = np.zeros(top.shape, dtype=np.intp)
+    before = np.ones(top.shape, dtype=bool)
+    for v in views[:-1]:
+        before &= v != top
+        if nan:
+            before &= v == v
+        argmax += before
+    # read the value back at argmax: the maximum's bits, signed zero and NaN included
+    y = np.take(xp, _flat_index(argmax, xp.shape, kernel, stride))
+    return y, argmax.reshape(n, c, oh * ow)
 
 
 def maxpool2d_backward(x: Array, argmax: Array, grad_out: Array,
@@ -224,9 +279,14 @@ def maxpool2d_backward(x: Array, argmax: Array, grad_out: Array,
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
     if grad_out.shape != (n, c, oh, ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
-    gcols = np.zeros((n, c, kernel * kernel, oh * ow), dtype=x.dtype)
-    np.put_along_axis(gcols, argmax[:, :, None, :], grad_out.reshape(n, c, 1, oh * ow), axis=2)
-    return _col2im(gcols, x.shape, kernel, stride, padding, oh, ow)
+    gp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    flat = _flat_index(argmax.reshape(n, c, oh, ow), gp.shape, kernel, stride)
+    # np.add.at applies its updates one at a time, in order.  Of the windows
+    # that select one pixel, a later window pixel means an earlier output, so
+    # walking the outputs backwards adds in row-major window order.
+    np.add.at(gp.reshape(-1), flat.reshape(-1)[::-1],
+              grad_out.astype(x.dtype, copy=False).reshape(-1)[::-1])
+    return _crop(gp, padding)
 
 
 def avgpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0) -> Array:
@@ -235,10 +295,10 @@ def avgpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0) -> A
     n, c, h, w = x.shape
     _check_geometry(h, w, kernel, stride, padding, pooling=True)
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    cols = _im2col(_pad(x, padding), kernel, stride, oh, ow)
-    counts = valid_window_counts(h, w, kernel, stride, padding).sum(axis=0)
-    y = cols.sum(axis=2, dtype=np.float64) / counts
-    return y.reshape(n, c, oh, ow).astype(x.dtype)
+    total = np.zeros((n, c, oh, ow))
+    for v in _windows(_pad(x, padding), kernel, stride, oh, ow):
+        total += v
+    return (total / window_counts(h, w, kernel, stride, padding)).astype(x.dtype)
 
 
 def avgpool2d_backward(x: Array, grad_out: Array, kernel: int, stride: int, padding: int = 0) -> Array:
@@ -248,10 +308,12 @@ def avgpool2d_backward(x: Array, grad_out: Array, kernel: int, stride: int, padd
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
     if grad_out.shape != (n, c, oh, ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
-    valid = valid_window_counts(h, w, kernel, stride, padding)
-    counts = valid.sum(axis=0)
-    shared = (grad_out.reshape(n, c, 1, oh * ow) / counts) * valid
-    return _col2im(shared.astype(x.dtype), x.shape, kernel, stride, padding, oh, ow)
+    share = (grad_out / window_counts(h, w, kernel, stride, padding)).astype(x.dtype, copy=False)
+    gp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    # shares of padded window pixels land in the border that _crop drops
+    for view in _windows(gp, kernel, stride, oh, ow):
+        view += share
+    return _crop(gp, padding)
 
 
 # ---------------------------------------------------------------------------

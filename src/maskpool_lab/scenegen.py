@@ -350,8 +350,7 @@ def generate_dataset(n_images: int, image_size: int = 128,
                      classes=DEFAULT_CLASSES, textures=DEFAULT_TEXTURES,
                      bias: BiasSpec | None = None,
                      objects_per_image=(1, 4), seed: int = 0,
-                     out_dir=None, size_range=(16, 44),
-                     patch_margin: float = 0.45) -> "DatasetManifest | list":
+                     out_dir=None, size_range=(16, 44)) -> "DatasetManifest | list":
     """Generate a biased dataset; writes it under out_dir when given, else
     returns the list of in-memory records."""
     if n_images < 1:
@@ -365,7 +364,7 @@ def generate_dataset(n_images: int, image_size: int = 128,
         raise ConfigurationError(f"bias matrix shape {bias.matrix.shape} != "
                                  f"({len(classes)}, {len(textures)})")
     records = [_generate_record(i, image_size, classes, textures, bias,
-                                objects_per_image, size_range, patch_margin, seed)
+                                objects_per_image, size_range, seed)
                for i in range(n_images)]
     if out_dir is None:
         return records

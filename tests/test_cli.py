@@ -2,12 +2,15 @@
 replayability, and the gen -> train -> eval -> report pipeline at toy scale."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maskpool_lab
 from maskpool_lab import cli, detector, metrics, scenegen
 
 
@@ -31,6 +34,13 @@ class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", n_images=2, out=str(tmp_path / "d"),
                            bogus_knob=True)
+        assert cli.main(["gen", "--config", cfg]) == 1
+
+    def test_patch_margin_rejected(self, tmp_path):
+        # the generator paints backgrounds from the nearest object's texture;
+        # patch_margin no longer means anything
+        cfg = write_config(tmp_path / "c.json", n_images=2, out=str(tmp_path / "d"),
+                           patch_margin=0.45)
         assert cli.main(["gen", "--config", cfg]) == 1
 
     def test_missing_config_file(self, tmp_path):
@@ -196,8 +206,11 @@ class TestPipeline:
 
 class TestEntryPoint:
     def test_console_script_help(self):
+        # the child imports the package the tests import, installed or not
+        src = str(Path(maskpool_lab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "maskpool_lab.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         for command in ("gen", "train", "eval", "swap-bg", "perturb", "ablate", "report"):
             assert command in proc.stdout

@@ -4,6 +4,7 @@ decoding, training determinism and checkpoint round trips."""
 import numpy as np
 import pytest
 
+import pool_reference as ref
 from maskpool_lab import detector, maskpool, nn, scenegen
 from maskpool_lab.errors import ConfigurationError, TrainingDiverged
 
@@ -256,6 +257,61 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigurationError):
             detector.train([], small_cfg(), nn.OptimizerConfig(), iterations=1, seed=0)
+
+
+def reference_backward(model, cache, grad, levels):
+    """The training backward pass before the stem skip: every conv computes its
+    input gradient, pooling and ReLU use the im2col / np.where references."""
+    for op, saved in reversed(cache):
+        kind = op[0]
+        if kind == "conv":
+            _, name, stride, padding = op
+            grad = nn.conv2d_backward(saved, model.layers[name], grad, stride, padding,
+                                      input_grad=True)
+        elif kind == "relu":
+            grad = ref.relu_backward(saved, grad)
+        elif kind == "boxscale":
+            grad = grad.copy()
+            grad[:, 1 + model.cfg.num_classes:] *= model.cfg.grid_stride
+        elif model.cfg.pooling_variant == "max":
+            x, argmax = saved
+            grad = ref.maxpool2d_backward(x, argmax, grad, 3, 2, 1)
+        elif model.cfg.pooling_variant == "avg":
+            grad = ref.avgpool2d_backward(saved, grad, 3, 2, 1)
+        else:
+            x, record = saved
+            grad = ref.maskpool2d_backward(x, levels[2], grad, record)
+    assert grad.shape[1] == 3  # reached the image
+
+
+class TestStemGradientSkip:
+    @pytest.mark.parametrize("variant", detector.POOLING_VARIANTS)
+    def test_parameter_gradients_bitwise(self, variant):
+        records = small_records(8)
+        cfg = small_cfg(variant)
+        x = detector.images_to_tensor(np.stack([r.image for r in records]))
+        levels = None
+        if variant == "mask":
+            levels = {2: np.stack([maskpool.downsample_mask(r.fg_mask, 2) for r in records])}
+        targets = detector.assign_targets([r.instances for r in records],
+                                          cfg.grid_size, cfg.grid_stride)
+
+        def forward_and_loss_grad(model):
+            raw, cache = detector._run_forward(model, x, levels, 1.0, None, keep=True)
+            _, grad = detector.compute_loss(detector.DetHeadOutput.from_raw(raw, 3), targets)
+            return cache, grad
+
+        # the zero-initialised head passes no gradient into the trunk, so start
+        # from a few SGD steps in
+        ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=3, seed=5)
+        trained, reference = detector.model_from_checkpoint(ckpt), detector.model_from_checkpoint(ckpt)
+        detector._run_backward(trained, *forward_and_loss_grad(trained), levels, 1.0)
+        reference_backward(reference, *forward_and_loss_grad(reference), levels)
+        for name in trained.layer_order():
+            a, b = trained.layers[name], reference.layers[name]
+            assert np.any(a.grad_weights != 0), name
+            assert np.array_equal(a.grad_weights, b.grad_weights), name
+            assert np.array_equal(a.grad_bias, b.grad_bias), name
 
 
 class TestComputeCounts:

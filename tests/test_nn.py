@@ -76,6 +76,16 @@ class TestConv:
         gx = nn.conv2d_backward(x, p, np.zeros((1, 2, 2, 2), np.float32), 1, 0)
         assert np.all(gx == 0) and np.all(p.grad_weights == 0) and np.all(p.grad_bias == 0)
 
+    def test_backward_without_input_grad(self, rng):
+        x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
+        g = rng.standard_normal((2, 4, 5, 5)).astype(np.float32)
+        full = nn.LayerParams.conv(3, 4, 3, rng)
+        skip = nn.LayerParams(weights=full.weights, bias=full.bias)
+        assert nn.conv2d_backward(x, full, g, 2, 1) is not None
+        assert nn.conv2d_backward(x, skip, g, 2, 1, input_grad=False) is None
+        assert np.array_equal(skip.grad_weights, full.grad_weights)
+        assert np.array_equal(skip.grad_bias, full.grad_bias)
+
     def test_shape_mismatch_raises(self, rng):
         p = nn.LayerParams.conv(2, 2, 3, rng)
         with pytest.raises(ConfigurationError):

@@ -2,11 +2,14 @@
 
 Fixed topology: stem conv (stride 2) -> pooling slot (3x3, stride 2) ->
 three conv-relu stages (exactly one of them stride 2) -> 1x1 conv head.
-The head emits, per grid cell: an objectness logit, class logits and
-four box distances (left, top, right, bottom) in pixels from the cell
-center.  The pooling slot is max, avg or mask pooling; it never carries
-parameters, so all variants share parameter counts and can be trained
-from identical seeds for head-to-head comparison.
+``build_ops`` is its single definition: an ordered list of small op objects
+(Conv, Relu, Pool, BgScale, BoxScale), each owning its forward, backward,
+saved tensors and cost, which training, inference, the mask strides and
+``count_params_flops`` all walk.  The head emits, per grid cell: an
+objectness logit, class logits and four box distances (left, top, right,
+bottom) in pixels from the cell center.  The pooling slot is max, avg or
+mask pooling; it never carries parameters, so all variants share parameter
+counts and can be trained from identical seeds for head-to-head comparison.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import maskpool, nn
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError, ParseError, TrainingDiverged
 from .metrics import iou as box_iou
 
 log = logging.getLogger(__name__)
@@ -123,7 +127,7 @@ class Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# model construction and forward/backward
+# model construction
 # ---------------------------------------------------------------------------
 
 OBJECTNESS_PRIOR_LOGIT = -4.0  # positives are rare (~1% of cells)
@@ -146,147 +150,182 @@ def build_model(cfg: ModelConfig, seed: int) -> Model:
     return Model(cfg=cfg, layers=layers)
 
 
-def _plan(cfg: ModelConfig, bg_mode: str | None):
-    """Ordered op list; bg_mode is None, 'slot' (pooling-slot input only) or 'all'."""
-    plan = [("conv", "stem", 2, 1), ("relu",)]
-    if bg_mode == "all":
-        plan.append(("bg", 2))
-    if cfg.pool_placement == "post_block1":
-        plan += [("conv", "stage1", 1, 1), ("relu",)]
+# ---------------------------------------------------------------------------
+# the op list: the network's one definition
+# ---------------------------------------------------------------------------
+
+def bg_mode(bg_weight: float, perturb_all_stages: bool) -> str | None:
+    """None at w == 1 (no bg ops: the baseline, bit for bit, without masks), else
+    'slot' (scale the pooling slot's input) or 'all' (every stage's and the slot's output)."""
+    if bg_weight == 1.0:
+        return None
+    return "all" if perturb_all_stages else "slot"
+
+
+@dataclass
+class Pass:
+    """One walk over an op list: forward, then backward when training."""
+
+    ops: list
+    model: Model
+    levels: dict | None = None  # feature stride -> (n, h, w) mask batch
+    bg_weight: float = 1.0
+    keep: bool = False          # each op keeps its input for the backward
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        for op in self.ops:
+            if self.keep:
+                op.x = x
+            x = op.forward(self, x)
+        return x
+
+    def backward(self, grad: np.ndarray) -> None:
+        for op in reversed(self.ops):
+            grad = op.backward(self, grad)
+
+
+class Op:
+    mask_stride = None  # feature stride of the mask level the op reads
+
+    def cost(self, model: Model, c: int, size: int):
+        """(params, multiply-adds, out channels, out size) for one image."""
+        return 0, 0, c, size
+
+
+@dataclass
+class Conv(Op):
+    name: str
+    stride: int
+    padding: int
+
+    def forward(self, run: Pass, x):
+        return nn.conv2d_forward(x, run.model.layers[self.name], self.stride, self.padding)
+
+    def backward(self, run: Pass, grad):
+        # the stem's input is the image: skip the gradient nobody reads
+        return nn.conv2d_backward(self.x, run.model.layers[self.name], grad, self.stride,
+                                  self.padding, input_grad=self.name != "stem")
+
+    def cost(self, model, c, size):
+        oc, ic, k, _ = model.layers[self.name].weights.shape
+        size = nn.out_size(size, k, self.stride, self.padding)
+        return oc * ic * k * k + oc, size * size * oc * ic * k * k, oc, size
+
+
+class Relu(Op):
+    def forward(self, run: Pass, x):
+        return nn.relu_forward(x)
+
+    def backward(self, run: Pass, grad):
+        return nn.relu_backward(self.x, grad)
+
+
+@dataclass
+class Pool(Op):
+    """The pooling slot: 3x3, stride 2, padding 1, on features at ``feature_stride``."""
+
+    variant: str
+    feature_stride: int
+
+    @property
+    def mask_stride(self):
+        return self.feature_stride if self.variant == "mask" else None
+
+    def forward(self, run: Pass, x):
+        if self.variant == "max":
+            y, self.argmax = nn.maxpool2d_forward(x, 3, 2, 1)
+            return y
+        if self.variant == "avg":
+            return nn.avgpool2d_forward(x, 3, 2, 1)
+        y, self.record = maskpool.maskpool2d_forward(x, run.levels[self.mask_stride], 3, 2, 1)
+        return y
+
+    def backward(self, run: Pass, grad):
+        if self.variant == "max":
+            return nn.maxpool2d_backward(self.x, self.argmax, grad, 3, 2, 1)
+        if self.variant == "avg":
+            return nn.avgpool2d_backward(self.x, grad, 3, 2, 1)
+        return maskpool.maskpool2d_backward(self.x, run.levels[self.mask_stride], grad, self.record)
+
+    def cost(self, model, c, size):
+        # avg and mask pooling: one add per valid window pixel plus one
+        # divide per window; max pooling: none
+        counts = nn.window_counts(size, size, 3, 2, 1)
+        macs = 0 if self.variant == "max" else (int(counts.sum()) + counts.size) * c
+        return 0, macs, c, nn.out_size(size, 3, 2, 1)
+
+
+@dataclass
+class BgScale(Op):
+    """Scales background activations by ``bg_weight``; inference only, so no backward."""
+
+    mask_stride: int
+
+    def forward(self, run: Pass, x):
+        return maskpool.bg_scale(x, run.levels[self.mask_stride], run.bg_weight)
+
+
+class BoxScale(Op):
+    """Box channels carry pixel distances (~stride..4*stride); scaling them by the
+    grid stride lets the head conv work at O(1) activations.  Linear: backward = forward."""
+
+    def forward(self, run: Pass, x):
+        x = x.copy()
+        x[:, 1 + run.model.cfg.num_classes:] *= run.model.cfg.grid_stride
+        return x
+
+    backward = forward
+
+
+def build_ops(cfg: ModelConfig, bg_mode: str | None = None) -> list:
+    """The pooling slot sits after the stem or after stage1; the first stage
+    after it has stride 2.  ``bg_mode`` (see ``bg_mode()``) adds BgScale ops."""
+    convs_before_pool = 1 if cfg.pool_placement == "post_stem" else 2
+    ops, stride = [], 1
+    for i, name in enumerate(("stem", "stage1", "stage2", "stage3")):
+        if i == convs_before_pool:
+            if bg_mode == "slot":
+                ops.append(BgScale(stride))
+            ops.append(Pool(cfg.pooling_variant, stride))
+            stride *= 2
+            if bg_mode == "all":
+                ops.append(BgScale(stride))
+        step = 2 if i in (0, convs_before_pool) else 1
+        stride *= step
+        ops += [Conv(name, step, 1), Relu()]
         if bg_mode == "all":
-            plan.append(("bg", 2))
-    if bg_mode == "slot":
-        plan.append(("bg", 2))
-    plan.append(("pool", 2))
-    if bg_mode == "all":
-        plan.append(("bg", 4))
-    if cfg.pool_placement == "post_stem":
-        plan += [("conv", "stage1", 2, 1), ("relu",)]
-    else:
-        plan += [("conv", "stage2", 2, 1), ("relu",)]
-    if bg_mode == "all":
-        plan.append(("bg", 8))
-    if cfg.pool_placement == "post_stem":
-        plan += [("conv", "stage2", 1, 1), ("relu",)]
-    else:
-        plan += [("conv", "stage3", 1, 1), ("relu",)]
-    if bg_mode == "all":
-        plan.append(("bg", 8))
-    if cfg.pool_placement == "post_stem":
-        plan += [("conv", "stage3", 1, 1), ("relu",)]
-        if bg_mode == "all":
-            plan.append(("bg", 8))
-    plan.append(("conv", "head", 1, 0))
-    # box channels carry pixel distances (~stride..4*stride); scaling by the
-    # grid stride lets the conv operate at O(1) activations
-    plan.append(("boxscale",))
-    return plan
+            ops.append(BgScale(stride))
+    return ops + [Conv("head", 1, 0), BoxScale()]
 
 
-def required_mask_strides(cfg: ModelConfig, bg_mode: str | None = None) -> set:
-    strides = set()
-    if cfg.pooling_variant == "mask":
-        strides.add(2)
-    for op in _plan(cfg, bg_mode):
-        if op[0] == "bg":
-            strides.add(op[1])
-    return strides
+def mask_strides(ops) -> set:
+    return {op.mask_stride for op in ops} - {None}
 
 
-def stack_mask_level(pyramids, stride: int) -> np.ndarray:
-    return np.stack([p.at_stride(stride) for p in pyramids])
+def mask_pyramids(cfg: ModelConfig, masks, bg_weight: float = 1.0,
+                  perturb_all_stages: bool = False) -> list | None:
+    """One pyramid per (h, w) mask at the strides the network reads under this
+    perturbation; None when it reads none."""
+    strides = mask_strides(build_ops(cfg, bg_mode(bg_weight, perturb_all_stages)))
+    return [maskpool.build_pyramid(m, strides) for m in masks] if strides else None
 
 
-def _run_forward(model: Model, x: np.ndarray, mask_levels: dict | None,
-                 bg_weight: float, bg_mode: str | None, keep: bool):
-    cache = [] if keep else None
-    cur = nn.as_nchw(x)
-    for op in _plan(model.cfg, bg_mode):
-        kind = op[0]
-        if kind == "conv":
-            _, name, stride, padding = op
-            if keep:
-                cache.append((op, cur))
-            cur = nn.conv2d_forward(cur, model.layers[name], stride, padding)
-        elif kind == "relu":
-            if keep:
-                cache.append((op, cur))
-            cur = nn.relu_forward(cur)
-        elif kind == "bg":
-            m = mask_levels[op[1]]
-            if keep:
-                cache.append((op, None))
-            cur = maskpool.bg_scale(cur, m, bg_weight)
-        elif kind == "boxscale":
-            if keep:
-                cache.append((op, None))
-            cur = cur.copy()
-            cur[:, 1 + model.cfg.num_classes:] *= model.cfg.grid_stride
-        elif kind == "pool":
-            variant = model.cfg.pooling_variant
-            if variant == "max":
-                y, argmax = nn.maxpool2d_forward(cur, 3, 2, 1)
-                if keep:
-                    cache.append((op, (cur, argmax)))
-            elif variant == "avg":
-                y = nn.avgpool2d_forward(cur, 3, 2, 1)
-                if keep:
-                    cache.append((op, cur))
-            else:
-                y, record = maskpool.maskpool2d_forward(cur, mask_levels[2], 3, 2, 1)
-                if keep:
-                    cache.append((op, (cur, record)))
-            cur = y
-    return cur, cache
-
-
-def _run_backward(model: Model, cache, grad: np.ndarray,
-                  mask_levels: dict | None, bg_weight: float) -> None:
-    for op, saved in reversed(cache):
-        kind = op[0]
-        if kind == "conv":
-            _, name, stride, padding = op
-            # the stem's input is the image: skip the gradient nobody reads
-            grad = nn.conv2d_backward(saved, model.layers[name], grad, stride, padding,
-                                      input_grad=name != "stem")
-        elif kind == "relu":
-            grad = nn.relu_backward(saved, grad)
-        elif kind == "bg":
-            grad = maskpool.bg_scale(grad, mask_levels[op[1]], bg_weight)
-        elif kind == "boxscale":
-            grad = grad.copy()
-            grad[:, 1 + model.cfg.num_classes:] *= model.cfg.grid_stride
-        elif kind == "pool":
-            variant = model.cfg.pooling_variant
-            if variant == "max":
-                x, argmax = saved
-                grad = nn.maxpool2d_backward(x, argmax, grad, 3, 2, 1)
-            elif variant == "avg":
-                grad = nn.avgpool2d_backward(saved, grad, 3, 2, 1)
-            else:
-                x, record = saved
-                grad = maskpool.maskpool2d_backward(x, mask_levels[2], grad, record)
-
-
-def _mask_levels(model: Model, pyramids, bg_mode: str | None) -> dict | None:
-    strides = required_mask_strides(model.cfg, bg_mode)
+def mask_levels(ops, pyramids) -> dict | None:
+    """{stride: (n, h, w) stacked pyramid levels} per stride an op reads, or None."""
+    strides = mask_strides(ops)
     if not strides:
         return None
     if pyramids is None:
-        raise ConfigurationError(
-            f"masks required for pooling variant {model.cfg.pooling_variant!r} / background scaling")
-    return {s: stack_mask_level(pyramids, s) for s in strides}
+        raise ConfigurationError(f"masks required: the network reads strides {sorted(strides)}")
+    return {s: np.stack([p.at_stride(s) for p in pyramids]) for s in strides}
 
 
 def forward(model: Model, image_batch: np.ndarray, masks=None,
             bg_weight: float = 1.0, perturb_all_stages: bool = False) -> DetHeadOutput:
     """Inference forward pass.  ``masks`` is a list of MaskPyramid (one per
     image) and is required iff the variant is 'mask' or bg_weight != 1."""
-    bg_mode = None
-    if bg_weight != 1.0:
-        bg_mode = "all" if perturb_all_stages else "slot"
-    levels = _mask_levels(model, masks, bg_mode)
-    raw, _ = _run_forward(model, image_batch, levels, bg_weight, bg_mode, keep=False)
+    ops = build_ops(model.cfg, bg_mode(bg_weight, perturb_all_stages))
+    raw = Pass(ops, model, mask_levels(ops, masks), bg_weight).forward(image_batch)
     return DetHeadOutput.from_raw(raw, model.cfg.num_classes)
 
 
@@ -421,10 +460,8 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
         raise ConfigurationError("training dataset is empty")
     images = np.stack([r.image for r in records])
     instances = [r.instances for r in records]
-    strides = required_mask_strides(model_cfg)
-    pyramids = None
-    if strides:
-        pyramids = [maskpool.build_pyramid(r.fg_mask, strides) for r in records]
+    ops = build_ops(model_cfg)
+    levels = mask_levels(ops, mask_pyramids(model_cfg, [r.fg_mask for r in records]))
 
     model = build_model(model_cfg, seed)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))
@@ -439,14 +476,14 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
         x = images_to_tensor(images[idx])
-        levels = {s: np.stack([pyramids[i].at_stride(s) for i in idx]) for s in strides} or None
-        raw, cache = _run_forward(model, x, levels, 1.0, None, keep=True)
+        step = Pass(ops, model, levels and {s: lv[idx] for s, lv in levels.items()}, keep=True)
+        raw = step.forward(x)
         head = DetHeadOutput.from_raw(raw, model_cfg.num_classes)
         targets = assign_targets([instances[i] for i in idx], grid, model_cfg.grid_stride)
         loss, grad_raw = compute_loss(head, targets)
         if not np.isfinite(loss):
             raise TrainingDiverged(it, _first_bad_layer(model))
-        _run_backward(model, cache, grad_raw, levels, 1.0)
+        step.backward(grad_raw)
         nn.sgd_step(model.params(), opt_cfg)
         if log_every and (it % log_every == 0 or it + 1 == iterations):
             log.info("iter %d/%d loss %.5f", it, iterations, loss)
@@ -458,30 +495,14 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
 # ---------------------------------------------------------------------------
 
 def count_params_flops(model: Model, image_size: int | None = None):
-    """Analytic parameter and multiply-add counts for a single image.
-
-    Pooling carries no parameters; avg and mask pooling are charged one add
-    per valid window pixel plus one divide per window, max pooling zero.
-    """
-    cfg = model.cfg
-    size = int(image_size or cfg.image_size)
-    params = 0
-    macs = 0
-    cur = size
-    for op in _plan(cfg, None):
-        if op[0] == "conv":
-            _, name, stride, padding = op
-            p = model.layers[name]
-            oc, ic, k, _ = p.weights.shape
-            params += oc * ic * k * k + oc
-            cur = nn.out_size(cur, k, stride, padding)
-            macs += cur * cur * oc * ic * k * k
-        elif op[0] == "pool":
-            if cfg.pooling_variant in ("avg", "mask"):
-                counts = nn.window_counts(cur, cur, 3, 2, 1)
-                in_c = model.layers["stage1" if cfg.pool_placement == "post_stem" else "stage2"].weights.shape[1]
-                macs += int(counts.sum()) * in_c + counts.size * in_c
-            cur = nn.out_size(cur, 3, 2, 1)
+    """Analytic parameter and multiply-add counts for a single image, summed
+    over the op list (see ``Op.cost``)."""
+    params = macs = 0
+    c, size = 3, int(image_size or model.cfg.image_size)
+    for op in build_ops(model.cfg):
+        p, m, c, size = op.cost(model, c, size)
+        params += p
+        macs += m
     return params, macs
 
 
@@ -501,6 +522,10 @@ def checkpoint_from_model(model: Model, seed: int, iterations: int) -> Checkpoin
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     model = build_model(ckpt.config, seed=ckpt.seed)
+    expected = {f"{name}.{kind}" for name in model.layer_order() for kind in ("weight", "bias")}
+    missing, extra = sorted(expected - set(ckpt.tensors)), sorted(set(ckpt.tensors) - expected)
+    if missing or extra:
+        raise ConfigurationError(f"checkpoint tensors missing: {missing}, unknown: {extra}")
     for name in model.layer_order():
         p = model.layers[name]
         w = ckpt.tensors[f"{name}.weight"]
@@ -536,35 +561,49 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint.  Truncation, a length running past the end and
+    trailing bytes raise ParseError(path, offset)."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise ConfigurationError(f"{path}: bad checkpoint magic {data[:4]!r}")
     pos = 4
-    (version,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(data) - pos:
+            raise ParseError(path, pos, f"{what} needs {n} bytes, {len(data) - pos} left")
+        pos += n
+        return data[pos - n:pos]
+
+    def u32(what):
+        return struct.unpack("<I", take(4, what))[0]
+
+    version = u32("version")
     if version != CHECKPOINT_VERSION:
         raise ConfigurationError(f"{path}: unsupported checkpoint version {version}")
-    (blob_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    meta = json.loads(data[pos:pos + blob_len])
-    pos += blob_len
-    (n_tensors,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    blob = take(u32("header length"), "header")
+    try:
+        meta = json.loads(blob)
+        cfg = ModelConfig.from_dict(meta["model"])
+        seed, iterations = int(meta["seed"]), int(meta["iterations"])
+    except ConfigurationError:
+        raise
+    except (ValueError, KeyError, TypeError) as e:  # JSON, UTF-8, missing or mistyped fields
+        raise ParseError(path, pos - len(blob), f"bad header: {e}") from e
     tensors = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos:pos + name_len].decode()
-        pos += name_len
-        shape = struct.unpack_from("<4I", data, pos)
-        pos += 16
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos).reshape(shape)
-        pos += count * 4
+    for _ in range(u32("tensor count")):
+        name_at = pos
+        try:
+            name = take(u32("tensor name length"), "tensor name").decode()
+        except UnicodeDecodeError as e:
+            raise ParseError(path, name_at, f"tensor name is not UTF-8: {e}") from e
+        shape = struct.unpack("<4I", take(16, f"tensor {name} shape"))
+        arr = np.frombuffer(take(4 * math.prod(shape), f"tensor {name} data"), dtype="<f4")
+        arr = arr.reshape(shape)
         if name.endswith(".bias"):  # stored 4-d per the format; logical shape is 1-d
             arr = arr.reshape(-1)
         tensors[name] = np.ascontiguousarray(arr, dtype=np.float32)
-    cfg = ModelConfig.from_dict(meta["model"])
-    return Checkpoint(config=cfg, tensors=tensors, seed=int(meta["seed"]),
-                      iterations=int(meta["iterations"]))
+    if pos != len(data):
+        raise ParseError(path, pos, f"{len(data) - pos} trailing bytes after the last tensor")
+    return Checkpoint(config=cfg, tensors=tensors, seed=seed, iterations=iterations)

@@ -128,13 +128,6 @@ def load_records(dataset):
     return list(dataset), list(scenegen.DEFAULT_CLASSES)
 
 
-def build_pyramids(records, strides):
-    strides = set(strides)
-    if not strides:
-        return None
-    return [maskpool.build_pyramid(r.fg_mask, strides) for r in records]
-
-
 @dataclass
 class EvalResult:
     map50: float
@@ -148,10 +141,9 @@ def evaluate_records(model, records, class_names, pyramids=None,
                      hierarchy=None, batch_size: int = 16) -> EvalResult:
     """Run inference over records and score mAP50 + hierarchical F1."""
     cfg = model.cfg
-    bg_mode = None if bg_weight == 1.0 else ("all" if perturb_all_stages else "slot")
-    needed = detector.required_mask_strides(cfg, bg_mode)
-    if needed and pyramids is None:
-        pyramids = build_pyramids(records, needed)
+    if pyramids is None:
+        pyramids = detector.mask_pyramids(cfg, [r.fg_mask for r in records],
+                                          bg_weight, perturb_all_stages)
     dets_by_image = {}
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
@@ -195,9 +187,10 @@ def run_bg_activation_sweep(ckpt, dataset, sweep: SweepSpec | None = None,
     sweep = sweep or SweepSpec()
     model = _model_of(ckpt)
     records, class_names = load_records(dataset)
-    strides = (detector.required_mask_strides(model.cfg, "all" if perturb_all_stages else "slot")
-               | detector.required_mask_strides(model.cfg, None))
-    pyramids = build_pyramids(records, strides)
+    # every weight but 1 walks the same op list; w = 1 reads a subset of its levels
+    perturbed = next((w for w in sweep.weights if w != 1.0), 1.0)
+    pyramids = detector.mask_pyramids(model.cfg, [r.fg_mask for r in records],
+                                      perturbed, perturb_all_stages)
 
     def one(w):
         r = evaluate_records(model, records, class_names, pyramids=pyramids,
@@ -217,7 +210,7 @@ def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int =
         raise ConfigurationError("background pool is empty")
     model = _model_of(ckpt)
     records, class_names = load_records(dataset)
-    pyramids = build_pyramids(records, detector.required_mask_strides(model.cfg))
+    pyramids = detector.mask_pyramids(model.cfg, [r.fg_mask for r in records])
 
     def one(rep):
         swapped = [scenegen.composite_random_bg(r, bg_pool, seed ^ rep, feather_radius)
@@ -239,7 +232,7 @@ def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 
         raise ConfigurationError(f"pool of {len(bg_pool)} backgrounds < {repetitions} repetitions")
     model = _model_of(ckpt)
     records, class_names = load_records(dataset)
-    pyramids = build_pyramids(records, detector.required_mask_strides(model.cfg))
+    pyramids = detector.mask_pyramids(model.cfg, [r.fg_mask for r in records])
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 11)))
     chosen = [int(i) for i in rng.choice(len(bg_pool), size=repetitions, replace=False)]
 
@@ -262,17 +255,15 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
     if model.cfg.pooling_variant != "mask":
         raise ConfigurationError("boundary ablation applies to the mask pooling variant only")
     records, class_names = load_records(dataset)
-    strides = detector.required_mask_strides(model.cfg)
     report = ExperimentReport(model_id, dataset_id, "boundary_ablation")
-    base = evaluate_records(model, records, class_names,
-                            pyramids=build_pyramids(records, strides))
+    base = evaluate_records(model, records, class_names)
     report.rows.append(ReportRow("baseline", base.map50, base.per_class_ap, base.per_class_hf))
 
     def one(factor):
         mode = "dilate" if factor > 1 else "erode"
         perturbed = [maskpool.morph_perturb(r.fg_mask, mode, factor) for r in records]
-        pyramids = [maskpool.build_pyramid(m, strides) for m in perturbed]
-        r = evaluate_records(model, records, class_names, pyramids=pyramids)
+        r = evaluate_records(model, records, class_names,
+                             pyramids=detector.mask_pyramids(model.cfg, perturbed))
         return ReportRow(float(factor), r.map50, r.per_class_ap, r.per_class_hf)
 
     report.rows.extend(_map_ordered(one, [float(f) for f in factors], threads))

@@ -4,9 +4,8 @@ Boxes are (x_min, y_min, x_max, y_max) in pixels, half-open.  Detections and
 ground truths may be dataclass-like objects or dicts following the detections
 file schema ({"image_id", "class_id", "score", "bbox"}).
 
-``average_precision`` is the production all-points interpolated AP;
-``brute_force_ap`` evaluates the same quantity from scratch at every distinct
-score threshold and exists purely as a test oracle.
+``average_precision`` is the all-points interpolated AP; the tests check it
+against a brute-force oracle (``tests/ap_oracle.py``).
 """
 
 from __future__ import annotations
@@ -160,36 +159,6 @@ def average_precision(dets, gts, iou_thresh: float = 0.5):
         last_of_group = k + 1 == len(labels) or sorted_scores[k + 1] != s
         if last_of_group:
             points.append((tp / n_gt, tp / (tp + fp)))
-    return _area_under_envelope(points)
-
-
-def brute_force_ap(dets, gts, iou_thresh: float = 0.5):
-    """Test oracle: re-evaluates precision/recall from scratch at every distinct
-    score threshold, then integrates the envelope.  Refuses large inputs."""
-    dets, gts = list(dets), list(gts)
-    if len(dets) > 1000 or len(gts) > 1000:
-        raise ConfigurationError("brute_force_ap is a test oracle; inputs capped at 1000")
-    n_gt = len(gts)
-    if n_gt == 0:
-        return None if not dets else 0.0
-    if not dets:
-        return 0.0
-    order, sorted_scores, _ = _tp_labels(dets, gts, iou_thresh)
-    thresholds = sorted(set(sorted_scores), reverse=True)
-    points = []
-    for tau in thresholds:
-        subset = [dets[i] for i in order if float(_get(dets[i], "score")) >= tau]
-        by_image_d = {}
-        for d in subset:
-            by_image_d.setdefault(_get(d, "image_id"), []).append(d)
-        by_image_g = {}
-        for g in gts:
-            by_image_g.setdefault(_get(g, "image_id"), []).append(g)
-        tp = 0
-        for img, ds in by_image_d.items():
-            m = match_detections(ds, by_image_g.get(img, []), iou_thresh, class_agnostic=True)
-            tp += len(m.pairs)
-        points.append((tp / n_gt, tp / len(subset)))
     return _area_under_envelope(points)
 
 

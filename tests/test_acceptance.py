@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import ap_oracle
 from maskpool_lab import cli, detector, experiments, maskpool, metrics, nn, scenegen
 
 SEEDS = (0, 1, 2)
@@ -143,7 +144,7 @@ def test_criterion_3_ap_oracle():
                 for _ in range(int(rng.integers(0, 7)))]
         gts = [{"image_id": str(rng.choice(["a", "b"])), "class_id": 0, "bbox": rand_box()}
                for _ in range(int(rng.integers(0, 5)))]
-        if metrics.average_precision(dets, gts) != metrics.brute_force_ap(dets, gts):
+        if metrics.average_precision(dets, gts) != ap_oracle.brute_force_ap(dets, gts):
             mismatches += 1
     tp_first = metrics.average_precision(
         [{"image_id": "a", "score": 0.9, "bbox": (0, 0, 2, 2)}],

@@ -1,6 +1,7 @@
 """Command-line tests: config validation, exit codes, run manifests,
 replayability, and the gen -> train -> eval -> report pipeline at toy scale."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import maskpool_lab
-from maskpool_lab import cli, detector, metrics, scenegen
+from maskpool_lab import cli, detector, experiments, metrics, scenegen
 
 
 def write_config(path, **cfg):
@@ -51,14 +52,27 @@ class TestConfigHandling:
         cfg.write_text("{not json")
         assert cli.main(["gen", "--config", str(cfg)]) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_failure_exit_2(self, tmp_path):
+        # a valid config whose training diverges fails at run time
+        data = tmp_path / "data"
+        assert cli.main(["gen", "--config", gen_config(tmp_path, data, n_images=2)]) == 0
+        cfg = write_config(tmp_path / "t.json", dataset=str(data),
+                           model={"image_size": 64, "channels": [8, 16, 24, 24]},
+                           optimizer={"learning_rate": 1e8}, iterations=50, seed=1,
+                           out=str(tmp_path / "trainout"))
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", cfg]) == 2
+
+    def test_truncated_checkpoint_exit_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert cli.main(["gen", "--config", gen_config(tmp_path, data, n_images=2)]) == 0
         ckpt = tmp_path / "garbage.mplb"
         ckpt.write_bytes(b"MPLB" + b"\xff" * 3)  # valid magic, then truncated garbage
         cfg = write_config(tmp_path / "e.json", dataset=str(data), checkpoint=str(ckpt),
                            out=str(tmp_path / "evalout"))
-        assert cli.main(["eval", "--config", cfg]) == 2
+        assert cli.main(["eval", "--config", cfg]) == 1
+        assert "garbage.mplb: byte 4:" in capsys.readouterr().err
 
 
 class TestGen:
@@ -169,6 +183,25 @@ class TestPipeline:
             outs.append(out)
         assert (outs[0] / "sweep.json").read_bytes() == (outs[1] / "sweep.json").read_bytes()
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+    def test_perturb_all_stages_reaches_runner(self, pipeline, tmp_path, monkeypatch):
+        root, data, ckpts = pipeline
+        runner = experiments.run_bg_activation_sweep
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(runner).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["perturb_all_stages"])
+            return runner(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_bg_activation_sweep", spy)
+        for name, extra in (("on", {"perturb_all_stages": True}), ("off", {})):
+            cfg = write_config(tmp_path / f"{name}.json", dataset=str(data),
+                               checkpoint=str(ckpts["max"]), weights=[0.5], out=str(tmp_path / name),
+                               **extra)
+            assert cli.main(["perturb", "--config", cfg]) == 0
+        assert seen == [True, False]
 
     def test_ablate_requires_mask_variant(self, pipeline, tmp_path):
         root, data, ckpts = pipeline

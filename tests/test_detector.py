@@ -4,9 +4,10 @@ decoding, training determinism and checkpoint round trips."""
 import numpy as np
 import pytest
 
+import plan_reference as plan_ref
 import pool_reference as ref
 from maskpool_lab import detector, maskpool, nn, scenegen
-from maskpool_lab.errors import ConfigurationError, TrainingDiverged
+from maskpool_lab.errors import ConfigurationError, ParseError, TrainingDiverged
 
 
 def small_cfg(variant="max", image_size=64, **kw):
@@ -22,8 +23,7 @@ def small_records(n=16, size=64, seed=0):
 def batch_loss(model, records):
     cfg = model.cfg
     x = detector.images_to_tensor(np.stack([r.image for r in records]))
-    strides = detector.required_mask_strides(cfg)
-    pys = [maskpool.build_pyramid(r.fg_mask, strides) for r in records] if strides else None
+    pys = detector.mask_pyramids(cfg, [r.fg_mask for r in records])
     head = detector.forward(model, x, pys)
     targets = detector.assign_targets([r.instances for r in records],
                                       cfg.grid_size, cfg.grid_stride)
@@ -97,6 +97,29 @@ class TestForward:
         with pytest.raises(ConfigurationError, match="masks required"):
             detector.forward(model, rng.standard_normal((1, 3, 64, 64)).astype(np.float32),
                              bg_weight=0.5)
+
+    @pytest.mark.parametrize("placement", detector.POOL_PLACEMENTS)
+    @pytest.mark.parametrize("variant", detector.POOLING_VARIANTS)
+    def test_all_fg_masks_leave_every_stage_unscaled(self, rng, variant, placement):
+        model = detector.build_model(small_cfg(variant, pool_placement=placement), seed=3)
+        head = model.layers["head"]
+        head.weights[...] = rng.standard_normal(head.weights.shape)
+        x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+        pys = [maskpool.build_pyramid(np.ones((64, 64), np.uint8), {2, 4, 8}) for _ in range(2)]
+        base = detector.forward(model, x, pys)
+        ops = detector.build_ops(model.cfg, "all")
+        assert sum(isinstance(op, detector.BgScale) for op in ops) == 5
+        for w in (0.0, 0.5, 2.75):
+            out = detector.forward(model, x, pys, bg_weight=w, perturb_all_stages=True)
+            for attr in ("objectness", "class_logits", "box_reg"):
+                assert getattr(out, attr).tobytes() == getattr(base, attr).tobytes()
+            run = detector.Pass(ops, model, detector.mask_levels(ops, pys), w)
+            cur = nn.as_nchw(x)
+            for op in ops:
+                nxt = op.forward(run, cur)
+                if isinstance(op, detector.BgScale):
+                    assert nxt.tobytes() == cur.tobytes()
+                cur = nxt
 
     def test_post_block1_placement_same_grid(self, rng):
         model = detector.build_model(small_cfg("max", pool_placement="post_block1"), seed=3)
@@ -296,17 +319,18 @@ class TestStemGradientSkip:
         targets = detector.assign_targets([r.instances for r in records],
                                           cfg.grid_size, cfg.grid_stride)
 
-        def forward_and_loss_grad(model):
-            raw, cache = detector._run_forward(model, x, levels, 1.0, None, keep=True)
+        def loss_grad(raw):
             _, grad = detector.compute_loss(detector.DetHeadOutput.from_raw(raw, 3), targets)
-            return cache, grad
+            return grad
 
         # the zero-initialised head passes no gradient into the trunk, so start
         # from a few SGD steps in
         ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=3, seed=5)
         trained, reference = detector.model_from_checkpoint(ckpt), detector.model_from_checkpoint(ckpt)
-        detector._run_backward(trained, *forward_and_loss_grad(trained), levels, 1.0)
-        reference_backward(reference, *forward_and_loss_grad(reference), levels)
+        step = detector.Pass(detector.build_ops(cfg), trained, levels, keep=True)
+        step.backward(loss_grad(step.forward(x)))
+        raw, cache = plan_ref._run_forward(reference, x, levels, 1.0, None, keep=True)
+        reference_backward(reference, cache, loss_grad(raw), levels)
         for name in trained.layer_order():
             a, b = trained.layers[name], reference.layers[name]
             assert np.any(a.grad_weights != 0), name
@@ -375,6 +399,35 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ConfigurationError, match="magic"):
             detector.load_checkpoint(path)
+
+    def test_truncated_oversized_or_trailing_bytes_raise_parse_error(self, tmp_path):
+        model = detector.build_model(small_cfg("max", channels=(2, 2, 2, 2)), seed=1)
+        path = tmp_path / "ck.mplb"
+        detector.save_checkpoint(detector.checkpoint_from_model(model, seed=1, iterations=0), path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ConfigurationError if cut < 4 else ParseError) as err:
+                detector.load_checkpoint(path)
+            if cut >= 4:
+                assert err.value.path == str(path) and 4 <= err.value.offset <= cut
+        for bad, offset in ((data + b"\0", len(data)),  # trailing byte
+                            (data[:8] + b"\xff" * 4 + data[12:], 12)):  # header length
+            path.write_bytes(bad)
+            with pytest.raises(ParseError) as err:
+                detector.load_checkpoint(path)
+            assert err.value.offset == offset
+
+    def test_missing_or_extra_tensor_named(self):
+        model = detector.build_model(small_cfg("max"), seed=1)
+        ckpt = detector.checkpoint_from_model(model, seed=1, iterations=0)
+        del ckpt.tensors["stage2.bias"]
+        with pytest.raises(ConfigurationError, match="stage2.bias"):
+            detector.model_from_checkpoint(ckpt)
+        ckpt = detector.checkpoint_from_model(model, seed=1, iterations=0)
+        ckpt.tensors["neck.weight"] = np.zeros((1, 1, 1, 1), np.float32)
+        with pytest.raises(ConfigurationError, match="neck.weight"):
+            detector.model_from_checkpoint(ckpt)
 
     def test_load_then_forward_bitwise(self, tmp_path, rng):
         cfg = small_cfg("max")

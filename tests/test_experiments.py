@@ -85,6 +85,20 @@ class TestSweep:
         assert [r.map50 for r in a.rows] == [r.map50 for r in b.rows]
 
 
+class TestPerturbAllStages:
+    @pytest.mark.parametrize("variant", ("max", "mask"))
+    def test_identity_weight_reproduces_baseline_bitwise(self, world, variant):
+        records, names, ckpt_max, ckpt_mask = world
+        ckpt = ckpt_max if variant == "max" else ckpt_mask
+        base = experiments.evaluate_records(detector.model_from_checkpoint(ckpt), records, names)
+        rep = experiments.run_bg_activation_sweep(ckpt, records, experiments.SweepSpec((0.5, 1.0)),
+                                                  perturb_all_stages=True)
+        row = rep.rows[1]
+        assert row.repetition == 1.0
+        assert (row.map50, row.per_class_ap, row.per_class_hf) == \
+            (base.map50, base.per_class_ap, base.per_class_hf)
+
+
 class TestRandomBg:
     def test_self_background_is_identity(self, world):
         records, names, ckpt_max, _ = world

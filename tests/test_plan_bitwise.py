@@ -44,9 +44,10 @@ def batch():
 
 def training_pass(model, x, levels, targets):
     """One training forward + backward through the detector; returns the raw head."""
-    raw, cache = detector._run_forward(model, x, levels, 1.0, None, keep=True)
+    step = detector.Pass(detector.build_ops(model.cfg), model, levels, keep=True)
+    raw = step.forward(x)
     head = detector.DetHeadOutput.from_raw(raw, model.cfg.num_classes)
-    detector._run_backward(model, cache, detector.compute_loss(head, targets)[1], levels, 1.0)
+    step.backward(detector.compute_loss(head, targets)[1])
     return raw
 
 

@@ -18,6 +18,7 @@ import io
 import json
 import logging
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import maskpool, nn
 from .errors import ConfigurationError, ParseError, TrainingDiverged
-from .metrics import iou as box_iou
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +62,11 @@ class ModelConfig:
             raise ConfigurationError("fixed topology produces grid_stride 8")
         if self.num_classes < 1:
             raise ConfigurationError("num_classes must be >= 1")
+        # a NaN threshold compares False everywhere: no detections and no error
+        if not (isinstance(self.score_threshold, numbers.Real) and 0.0 <= self.score_threshold <= 1.0):
+            raise ConfigurationError(f"score_threshold must be in [0, 1], got {self.score_threshold!r}")
+        if not (isinstance(self.nms_iou, numbers.Real) and 0.0 < self.nms_iou <= 1.0):
+            raise ConfigurationError(f"nms_iou must be in (0, 1], got {self.nms_iou!r}")
 
     @property
     def grid_size(self) -> int:
@@ -392,9 +397,24 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
 
 
+def _py_max(a, b):
+    """Python's ``max(a, b)`` elementwise: ``b`` only where ``b > a``, so a NaN in ``a``
+    is kept but a NaN in ``b`` is ignored (``np.maximum`` returns it), and of two
+    equal zeros ``a``'s sign wins."""
+    return np.where(b > a, b, a)
+
+
+def _py_min(a, b):
+    """Python's ``min(a, b)`` elementwise, as ``_py_max``."""
+    return np.where(b < a, b, a)
+
+
 def decode(head: DetHeadOutput, cfg: ModelConfig):
     """Per image: every (cell, class) with sigmoid(obj)*softmax(class) above the
-    score threshold emits a box; degenerate (zero-extent) boxes are dropped."""
+    score threshold emits a box; degenerate (zero-extent) boxes are dropped.
+
+    Detections come per image in (class, row, col) order, with plain Python
+    int/float fields; a box with a NaN edge is not degenerate and is kept."""
     n, num_classes, g, _ = head.class_logits.shape
     stride = cfg.grid_stride
     obj = _sigmoid(head.objectness)[:, 0]
@@ -403,38 +423,64 @@ def decode(head: DetHeadOutput, cfg: ModelConfig):
     ez = np.exp(z)
     probs = ez / ez.sum(axis=1, keepdims=True)
     scores = obj[:, None] * probs  # (n, C, g, g)
-    out = []
+    img, cls, row, col = np.nonzero(scores >= cfg.score_threshold)  # per image, C order
+    score = scores[img, cls, row, col]
+    l, t, r, b = np.maximum(head.box_reg[img, :, row, col], 0.0).T
+    ccx, ccy = (col + 0.5) * stride, (row + 0.5) * stride
     size = float(cfg.image_size)
-    for i in range(n):
-        dets = []
-        for c, row, col in np.argwhere(scores[i] >= cfg.score_threshold):
-            l, t, r, b = np.maximum(head.box_reg[i, :, row, col], 0.0)
-            ccx, ccy = (col + 0.5) * stride, (row + 0.5) * stride
-            x0, y0 = max(ccx - l, 0.0), max(ccy - t, 0.0)
-            x1, y1 = min(ccx + r, size), min(ccy + b, size)
-            if x1 <= x0 or y1 <= y0:
-                continue
-            dets.append(Detection(class_id=int(c), score=float(scores[i, c, row, col]),
-                                  box=(float(x0), float(y0), float(x1), float(y1)),
-                                  cell=int(row) * g + int(col)))
-        out.append(dets)
-    return out
+    box = np.stack([_py_max(ccx - l, 0.0), _py_max(ccy - t, 0.0),
+                    _py_min(ccx + r, size), _py_min(ccy + b, size)], axis=1)
+    keep = ~((box[:, 2] <= box[:, 0]) | (box[:, 3] <= box[:, 1]))
+    fields = zip(cls[keep].tolist(), score[keep].tolist(), box[keep].tolist(),
+                 (row * g + col)[keep].tolist())
+    dets = [Detection(c, s, tuple(bx), cell) for c, s, bx, cell in fields]
+    bounds = np.searchsorted(img[keep], np.arange(n + 1)).tolist()
+    return [dets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _iou_matrix(box):
+    """``out[i, j] = metrics.iou(box[i], box[j])`` for an (m, 4) float64 array:
+    the same operations in the same operand order, so NaN edges and the 0.0
+    for disjoint or degenerate boxes come out as they do there."""
+    ax0, ay0, ax1, ay1 = (v[:, None] for v in box.T)
+    bx0, by0, bx1, by1 = (v[None, :] for v in box.T)
+    with np.errstate(all="ignore"):
+        iw = _py_min(ax1, bx1) - _py_max(ax0, bx0)
+        ih = _py_min(ay1, by1) - _py_max(ay0, by0)
+        inter = iw * ih
+        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+        iou = inter / union
+    return np.where((iw <= 0) | (ih <= 0) | (union <= 0), 0.0, iou)
 
 
 def nms(dets, iou_thresh: float):
-    """Greedy per-class NMS by descending score; score ties broken by lower cell index."""
-    kept = []
-    by_class = {}
-    for d in dets:
-        by_class.setdefault(d.class_id, []).append(d)
-    for c in sorted(by_class):
-        group = sorted(by_class[c], key=lambda d: (-d.score, d.cell))
-        chosen = []
-        for d in group:
-            if all(box_iou(d.box, k.box) < iou_thresh for k in chosen):
-                chosen.append(d)
-        kept.extend(chosen)
-    return sorted(kept, key=lambda d: (-d.score, d.cell, d.class_id))
+    """Greedy per-class NMS by descending score; score ties broken by lower cell index.
+
+    A candidate is dropped when ``metrics.iou(candidate, kept)`` is not below
+    ``iou_thresh`` for some higher-ranked kept detection of its class.  Returns
+    the caller's Detection objects by (-score, cell, class); exact ties keep
+    their input order."""
+    dets = list(dets)
+    if len(dets) < 2:  # nothing to rank or suppress; most images of an untrained model
+        return dets
+    cls = np.array([d.class_id for d in dets], dtype=np.int64)
+    score = np.array([d.score for d in dets], dtype=np.float64)
+    cell = np.array([d.cell for d in dets], dtype=np.int64)
+    order = np.lexsort((cell, -score, cls))  # stable: exact ties keep input order
+    box = np.array([dets[i].box for i in order.tolist()], dtype=np.float64)
+    c = cls[order]
+    bounds = [0, *(np.flatnonzero(c[1:] != c[:-1]) + 1).tolist(), len(dets)]
+    keep = np.ones(len(dets), dtype=bool)
+    for lo, hi in zip(bounds, bounds[1:]):  # one class per block, best first
+        # suppressed[i, j]: candidate i falls to the higher-ranked j if j is kept
+        suppressed = ~(_iou_matrix(box[lo:hi]) < iou_thresh)
+        block = keep[lo:hi]
+        for j in range(hi - lo):
+            if block[j]:
+                block[j + 1:] &= ~suppressed[j + 1:, j]
+    kept = order[keep]
+    kept = kept[np.lexsort((cls[kept], cell[kept], -score[kept]))]
+    return [dets[i] for i in kept.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +607,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint.  Truncation, a length running past the end and
-    trailing bytes raise ParseError(path, offset)."""
+    """Read a checkpoint.  Truncation, a length running past the end, trailing
+    bytes and a non-finite weight raise ParseError(path, offset)."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -599,7 +645,12 @@ def load_checkpoint(path) -> Checkpoint:
         except UnicodeDecodeError as e:
             raise ParseError(path, name_at, f"tensor name is not UTF-8: {e}") from e
         shape = struct.unpack("<4I", take(16, f"tensor {name} shape"))
+        data_at = pos
         arr = np.frombuffer(take(4 * math.prod(shape), f"tensor {name} data"), dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ParseError(path, data_at + 4 * int(bad[0]),
+                             f"tensor {name} holds a non-finite value ({arr[bad[0]]})")
         arr = arr.reshape(shape)
         if name.endswith(".bias"):  # stored 4-d per the format; logical shape is 1-d
             arr = arr.reshape(-1)

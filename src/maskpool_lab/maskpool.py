@@ -171,7 +171,7 @@ def bg_scale(x: Array, m: Array, w: float) -> Array:
     n, c, h, wd = x.shape
     mb = _mask_batch(m, n, h, wd)
     keep = mb[:, None].astype(bool)
-    return np.where(keep, x, x * x.dtype.type(w)).astype(x.dtype)
+    return np.where(keep, x, x * x.dtype.type(w))
 
 
 def _dilate8(m: Array) -> Array:

@@ -74,6 +74,32 @@ class TestConfigHandling:
         assert cli.main(["eval", "--config", cfg]) == 1
         assert "garbage.mplb: byte 4:" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_weight_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["gen", "--config", gen_config(tmp_path, data, n_images=2)]) == 0
+        model = detector.build_model(detector.ModelConfig(image_size=64, channels=(8, 16, 24, 24)),
+                                     seed=1)
+        model.layers["stage2"].weights[0, 0, 0, 0] = np.nan
+        ckpt = tmp_path / "nan.mplb"
+        detector.save_checkpoint(detector.checkpoint_from_model(model, seed=1, iterations=0), ckpt)
+        cfg = write_config(tmp_path / "e.json", dataset=str(data), checkpoint=str(ckpt),
+                           out=str(tmp_path / "evalout"))
+        assert cli.main(["eval", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "nan.mplb: byte" in err and "stage2.weight" in err
+        assert not (tmp_path / "evalout" / "eval.json").exists()
+
+    @pytest.mark.parametrize("model", [{"score_threshold": float("nan")}, {"nms_iou": 0.0}])
+    def test_bad_decode_threshold_exit_1(self, tmp_path, model):
+        data = tmp_path / "data"
+        assert cli.main(["gen", "--config", gen_config(tmp_path, data, n_images=2)]) == 0
+        out = tmp_path / "trainout"
+        cfg = write_config(tmp_path / "t.json", dataset=str(data),
+                           model={"image_size": 64, "channels": [8, 16, 24, 24], **model},
+                           iterations=1, seed=1, out=str(out))
+        assert cli.main(["train", "--config", cfg]) == 1
+        assert not (out / "checkpoint.mplb").exists()
+
 
 class TestGen:
     def test_generates_dataset_and_run_manifest(self, tmp_path):

@@ -133,6 +133,25 @@ def test_nan_box_iou_operand_order():
     assert assert_same_nms([nan_first, finite], 0.5) == [nan_first, finite]
 
 
+def test_non_finite_edges_every_ordered_pair():
+    # each edge of two boxes made nan, inf or -inf, against disjoint, nested,
+    # overlapping and half-covering partners, in both score orders
+    finite = [(0, 0, 10, 10), (20, 0, 30, 10), (0, 20, 10, 30), (5, 5, 15, 15), (0, 0, 10, 5)]
+    boxes = finite + [b[:k] + (v,) + b[k + 1:] for b in finite[:2] for k in range(4)
+                      for v in (NAN, INF, -INF)]
+    for hi in boxes:
+        for lo in boxes:
+            pair = [detector.Detection(0, 0.9, hi, cell=0), detector.Detection(0, 0.8, lo, cell=1)]
+            for thr in (0.5, 1.0):
+                assert_same_nms(pair, thr)
+
+
+def test_classes_suppress_only_their_own():
+    box = (0.0, 0.0, 10.0, 10.0)
+    dets = [detector.Detection(c, s, box, cell=c) for s in (0.9, 0.8) for c in (2, 0, 1)]
+    assert assert_same_nms(dets, 0.5) == [dets[1], dets[2], dets[0]]  # by cell
+
+
 def test_exact_key_ties_keep_input_order():
     # equal class, score and cell, disjoint boxes: every one is kept, in input order
     dets = [detector.Detection(k % 2, 0.5, (12.0 * k, 0.0, 12.0 * k + 10, 10.0), cell=3)

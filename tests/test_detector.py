@@ -60,6 +60,18 @@ class TestBuild:
         with pytest.raises(ConfigurationError):
             detector.ModelConfig.from_dict({"unknown_field": 1})
 
+    @pytest.mark.parametrize("key,value", [
+        ("score_threshold", float("nan")), ("score_threshold", float("inf")),
+        ("score_threshold", -0.01), ("score_threshold", 1.5), ("score_threshold", "0.5"),
+        ("nms_iou", float("nan")), ("nms_iou", 0.0), ("nms_iou", 1.01), ("nms_iou", None)])
+    def test_decode_thresholds_validated(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            detector.ModelConfig(**{key: value})
+
+    def test_decode_threshold_bounds_accepted(self):
+        detector.ModelConfig(score_threshold=0.0, nms_iou=1.0)
+        detector.ModelConfig(score_threshold=1, nms_iou=1e-9)
+
 
 class TestForward:
     def test_mask_all_fg_equals_avg_variant(self, rng):
@@ -428,6 +440,27 @@ class TestCheckpoint:
         ckpt.tensors["neck.weight"] = np.zeros((1, 1, 1, 1), np.float32)
         with pytest.raises(ConfigurationError, match="neck.weight"):
             detector.model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises_parse_error_at_its_offset(self, tmp_path, value):
+        model = detector.build_model(small_cfg("max", channels=(2, 2, 2, 2)), seed=1)
+        ckpt = detector.checkpoint_from_model(model, seed=1, iterations=0)
+        ckpt.tensors["stage2.weight"].reshape(-1)[5] = value
+        path = tmp_path / "ck.mplb"
+        detector.save_checkpoint(ckpt, path)
+        with pytest.raises(ParseError, match="stage2.weight") as err:
+            detector.load_checkpoint(path)
+        bad = np.frombuffer(path.read_bytes()[err.value.offset:err.value.offset + 4], "<f4")[0]
+        assert np.array_equal(bad, np.float32(value), equal_nan=True)
+
+    def test_header_thresholds_validated(self, tmp_path):
+        model = detector.build_model(small_cfg("max", channels=(2, 2, 2, 2)), seed=1)
+        ckpt = detector.checkpoint_from_model(model, seed=1, iterations=0)
+        ckpt.config.nms_iou = float("nan")  # bypasses __post_init__, as a foreign writer could
+        path = tmp_path / "ck.mplb"
+        detector.save_checkpoint(ckpt, path)
+        with pytest.raises(ConfigurationError, match="nms_iou"):
+            detector.load_checkpoint(path)
 
     def test_load_then_forward_bitwise(self, tmp_path, rng):
         cfg = small_cfg("max")

@@ -222,6 +222,17 @@ class TestBgScale:
         fg = m.astype(bool)
         assert np.array_equal(y[:, :, fg], x[:, :, fg])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype_bitwise(self, rng, dtype):
+        x = rng.standard_normal((2, 3, 6, 6)).astype(dtype)
+        x[0, 0, 0, :3] = (-0.0, np.inf, np.nan)
+        m = (rng.uniform(size=(6, 6)) < 0.5).astype(np.uint8)
+        m[0, :3] = 0
+        y = maskpool.bg_scale(x, m, 0.75)
+        expected = x.copy()
+        expected[:, :, m == 0] *= dtype(0.75)
+        assert y.dtype == dtype and y.tobytes() == expected.tobytes()
+
     def test_all_fg_identity(self, rng):
         x = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
         assert np.array_equal(maskpool.bg_scale(x, np.ones((4, 4), np.uint8), 2.0), x)

@@ -6,11 +6,13 @@ over pool placement x background mode), walked by string dispatch in
 ``_run_forward`` / ``_run_backward``, walked again by ``count_params_flops``,
 and driven by a ``train`` loop that restacked each batch's mask levels from
 the per-record pyramids.  The op list must reproduce these head outputs,
-parameter gradients, cost counts and checkpoints bit for bit.
+parameter gradients, cost counts and checkpoints bit for bit.  Its
+convolutions are the former kernels in ``conv_reference``.
 """
 
 import numpy as np
 
+import conv_reference
 from maskpool_lab import detector, maskpool, nn
 from maskpool_lab.errors import ConfigurationError
 
@@ -69,7 +71,7 @@ def _run_forward(model, x, mask_levels, bg_weight, bg_mode, keep):
             _, name, stride, padding = op
             if keep:
                 cache.append((op, cur))
-            cur = nn.conv2d_forward(cur, model.layers[name], stride, padding)
+            cur = conv_reference.conv2d_forward(cur, model.layers[name], stride, padding)
         elif kind == "relu":
             if keep:
                 cache.append((op, cur))
@@ -107,8 +109,8 @@ def _run_backward(model, cache, grad, mask_levels, bg_weight):
         kind = op[0]
         if kind == "conv":
             _, name, stride, padding = op
-            grad = nn.conv2d_backward(saved, model.layers[name], grad, stride, padding,
-                                      input_grad=name != "stem")
+            grad = conv_reference.conv2d_backward(saved, model.layers[name], grad, stride, padding,
+                                                  input_grad=name != "stem")
         elif kind == "relu":
             grad = nn.relu_backward(saved, grad)
         elif kind == "bg":

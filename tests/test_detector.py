@@ -4,6 +4,7 @@ decoding, training determinism and checkpoint round trips."""
 import numpy as np
 import pytest
 
+import conv_reference
 import plan_reference as plan_ref
 import pool_reference as ref
 from maskpool_lab import detector, maskpool, nn, scenegen
@@ -296,13 +297,14 @@ class TestTrain:
 
 def reference_backward(model, cache, grad, levels):
     """The training backward pass before the stem skip: every conv computes its
-    input gradient, pooling and ReLU use the im2col / np.where references."""
+    input gradient; conv, pooling and ReLU use the former kernels of
+    conv_reference and pool_reference."""
     for op, saved in reversed(cache):
         kind = op[0]
         if kind == "conv":
             _, name, stride, padding = op
-            grad = nn.conv2d_backward(saved, model.layers[name], grad, stride, padding,
-                                      input_grad=True)
+            grad = conv_reference.conv2d_backward(saved, model.layers[name], grad, stride,
+                                                  padding, input_grad=True)
         elif kind == "relu":
             grad = ref.relu_backward(saved, grad)
         elif kind == "boxscale":

@@ -48,6 +48,13 @@ class ModelConfig:
     pool_placement: str = "post_stem"
 
     def __post_init__(self):
+        if not isinstance(self.channels, (list, tuple)):
+            raise ConfigurationError(f"channels must be a list of integers, got {self.channels!r}")
+        for name, v in (("image_size", self.image_size), ("grid_stride", self.grid_stride),
+                        ("num_classes", self.num_classes), *(("channels entry", c) for c in self.channels)):
+            # bool is Integral too; a string or float would end in a TypeError further on
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {v!r}")
         self.channels = tuple(int(c) for c in self.channels)
         if self.pooling_variant not in POOLING_VARIANTS:
             raise ConfigurationError(f"pooling_variant must be one of {POOLING_VARIANTS}")
@@ -184,9 +191,12 @@ class Pass:
             x = op.forward(self, x)
         return x
 
-    def backward(self, grad: np.ndarray) -> None:
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
+        """Accumulates parameter gradients; returns the gradient of the walk's
+        input, or None when its first op skips it (the stem)."""
         for op in reversed(self.ops):
             grad = op.backward(self, grad)
+        return grad
 
 
 class Op:
@@ -204,12 +214,19 @@ class Conv(Op):
     padding: int
 
     def forward(self, run: Pass, x):
-        return nn.conv2d_forward(x, run.model.layers[self.name], self.stride, self.padding)
+        p = run.model.layers[self.name]
+        if not run.keep:
+            return nn.conv2d_forward(x, p, self.stride, self.padding)
+        y, self.cols = nn.conv2d_forward(x, p, self.stride, self.padding, with_cols=True)
+        return y
 
     def backward(self, run: Pass, grad):
-        # the stem's input is the image: skip the gradient nobody reads
+        # the stem's input is the image: skip the gradient nobody reads.  The
+        # columns are handed over, not kept, so they are freed as soon as the
+        # weight gradient exists.
         return nn.conv2d_backward(self.x, run.model.layers[self.name], grad, self.stride,
-                                  self.padding, input_grad=self.name != "stem")
+                                  self.padding, input_grad=self.name != "stem",
+                                  cols=vars(self).pop("cols"))
 
     def cost(self, model, c, size):
         oc, ic, k, _ = model.layers[self.name].weights.shape

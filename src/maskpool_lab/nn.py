@@ -10,13 +10,18 @@ Conventions:
   - pooling ops exclude padded positions from counts, averages and maxima;
   - reductions (means, losses) accumulate in float64 before casting back.
 
-Convolution lowers its windows to im2col columns for one matmul.  Pooling has
+Convolution lowers its windows to im2col columns for one matmul.  A training
+forward returns those columns (``with_cols``) and the backward forms the
+weight gradient from them (``cols``) instead of rebuilding them.  Pooling has
 no weights to multiply, so it reads the kernel*kernel windows as strided
 views of the padded input (``_windows``) and never copies them.  Window sums
-(avg and mask pooling, forward and backward) accumulate view by view in
-row-major window order, starting from +0.0.  That order fixes every
-rounding, so it keeps checkpoints and reports byte-identical and must not
-change; tests/pool_reference.py holds the im2col kernels it must match.
+(avg and mask pooling, forward and backward, and the conv input gradient)
+accumulate window pixel by window pixel in row-major window order, starting
+from +0.0.  That order fixes every rounding, so it keeps checkpoints and
+reports byte-identical and must not change; tests/pool_reference.py and
+tests/conv_reference.py hold the former kernels it must match.  A stride-1
+conv folds its input gradient through contiguous slices instead of strided
+views (``_fold_stride1``), with the same float32 bits.
 """
 
 from __future__ import annotations
@@ -167,8 +172,18 @@ def window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Arr
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0) -> Array:
-    """Cross-correlation with zero padding."""
+def _conv_cols(x: Array, kernel: int, stride: int, padding: int, oh: int, ow: int) -> Array:
+    """(n, c*kernel*kernel, oh*ow) im2col columns of the padded input."""
+    n, c = x.shape[:2]
+    return _im2col(_pad(x, padding), kernel, stride, oh, ow).reshape(n, c * kernel * kernel, oh * ow)
+
+
+def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0,
+                   with_cols: bool = False):
+    """Cross-correlation with zero padding.
+
+    With ``with_cols`` returns (output, cols): the im2col columns, for
+    conv2d_backward to reuse instead of rebuilding them."""
     x = as_nchw(x)
     oc, ic, kh, kw = p.weights.shape
     if kh != kw:
@@ -178,16 +193,51 @@ def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0) 
         raise ConfigurationError(f"conv expects {ic} input channels, got {c}")
     _check_geometry(h, w, kh, stride, padding, pooling=False)
     oh, ow = out_size(h, kh, stride, padding), out_size(w, kw, stride, padding)
-    cols = _im2col(_pad(x, padding), kh, stride, oh, ow).reshape(n, ic * kh * kw, oh * ow)
+    cols = _conv_cols(x, kh, stride, padding, oh, ow)
     wmat = p.weights.reshape(oc, ic * kh * kw).astype(x.dtype)
     y = np.matmul(wmat, cols) + p.bias.reshape(1, oc, 1).astype(x.dtype)
-    return y.reshape(n, oc, oh, ow)
+    y = y.reshape(n, oc, oh, ow)
+    return (y, cols) if with_cols else y
 
 
-def conv2d_backward(x: Array, p: LayerParams, grad_out: Array,
-                    stride: int = 1, padding: int = 0, input_grad: bool = True) -> Array | None:
+def _fold_stride1(wt: Array, grad_out: Array, shape, kernel: int, padding: int) -> Array:
+    """Input gradient of a stride-1 conv: what ``_col2im`` makes of
+    ``wt @ grad_out``, folded through contiguous slices instead of strided views.
+
+    ``grad_out`` is widened from ow to the padded width wp with zero columns,
+    so output (r, col) of window pixel (i, j) lands at flat offset
+    r*wp + col + (i*wp + j) of the padded buffer: one contiguous ``+=`` per
+    window pixel, in row-major window order.  The zero columns add
+    ``wt @ 0`` = +-0 (wt must be finite), which changes no sum: sums start
+    from +0.0, so none is ever -0.0.
+
+    The bits also rely on the matmul computing each output column the same
+    way whatever the number of columns.  OpenBLAS's sgemm does, so float32
+    results are unchanged; its dgemm computes the last columns of a large
+    product with another kernel, so float64 results (gradient checks only)
+    can differ from ``_col2im``'s in the last bits."""
+    n, c, h, w = shape
+    _, oc, oh, ow = grad_out.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    g = grad_out
+    if wp != ow:
+        g = np.zeros((n, oc, oh, wp), dtype=grad_out.dtype)
+        g[..., :ow] = grad_out
+    span = oh * wp
+    gcols = np.matmul(wt, g.reshape(n, oc, span)).reshape(n, c, kernel * kernel, span)
+    # the last window pixel's slice runs kernel - 1 entries past the buffer
+    xp = np.zeros((n, c, hp * wp + kernel - 1), dtype=gcols.dtype)
+    for k in range(kernel * kernel):
+        i, j = divmod(k, kernel)
+        xp[:, :, i * wp + j:i * wp + j + span] += gcols[:, :, k]
+    return _crop(xp[:, :, :hp * wp].reshape(n, c, hp, wp), padding)
+
+
+def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
+                    padding: int = 0, input_grad: bool = True, cols: Array | None = None) -> Array | None:
     """Gradients of conv2d_forward; accumulates into p.grad_weights / p.grad_bias.
 
+    ``cols`` are the forward's im2col columns of x (built here when None).
     Returns the input gradient, or None when ``input_grad`` is False (for a
     first layer, whose input gradient nobody reads)."""
     x = as_nchw(x)
@@ -197,14 +247,21 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array,
     oh, ow = out_size(h, kh, stride, padding), out_size(w, kw, stride, padding)
     if grad_out.shape != (n, oc, oh, ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, oc, oh, ow)}")
-    cols = _im2col(_pad(x, padding), kh, stride, oh, ow).reshape(n, ic * kh * kw, oh * ow)
+    if cols is None:
+        cols = _conv_cols(x, kh, stride, padding, oh, ow)
     g = grad_out.reshape(n, oc, oh * ow)
     # per-sample matmul then ordered sum over the batch keeps reductions fixed
     p.grad_weights += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape).astype(FLOAT)
+    del cols  # free before the input gradient allocates its own columns
     p.grad_bias += g.sum(axis=(0, 2)).astype(FLOAT)
     if not input_grad:
         return None
-    gcols = np.matmul(p.weights.reshape(oc, -1).T.astype(x.dtype), g)
+    wt = p.weights.reshape(oc, -1).T.astype(x.dtype)
+    # a non-finite weight would turn the widened zero columns into NaN, and
+    # numpy multiplies by a single column (oh*ow == 1) with gemv, not gemm
+    if stride == 1 and oh * ow > 1 and np.isfinite(wt).all():
+        return _fold_stride1(wt, grad_out, x.shape, kh, padding)
+    gcols = np.matmul(wt, g)
     return _col2im(gcols.reshape(n, ic, kh * kw, oh * ow), x.shape, kh, stride, padding, oh, ow)
 
 

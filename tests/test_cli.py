@@ -100,6 +100,19 @@ class TestConfigHandling:
         assert cli.main(["train", "--config", cfg]) == 1
         assert not (out / "checkpoint.mplb").exists()
 
+    @pytest.mark.parametrize("model", [{"image_size": "64"}, {"num_classes": "3"},
+                                       {"channels": [8, 16, "24", 24]}, {"grid_stride": 8.0}])
+    def test_mistyped_model_field_exit_1(self, tmp_path, capsys, model):
+        data = tmp_path / "data"
+        assert cli.main(["gen", "--config", gen_config(tmp_path, data, n_images=2)]) == 0
+        out = tmp_path / "trainout"
+        cfg = write_config(tmp_path / "t.json", dataset=str(data),
+                           model={"image_size": 64, "channels": [8, 16, 24, 24], **model},
+                           iterations=1, seed=1, out=str(out))
+        assert cli.main(["train", "--config", cfg]) == 1
+        assert next(iter(model)) in capsys.readouterr().err
+        assert not (out / "checkpoint.mplb").exists()
+
 
 class TestGen:
     def test_generates_dataset_and_run_manifest(self, tmp_path):

@@ -73,6 +73,21 @@ class TestBuild:
         detector.ModelConfig(score_threshold=0.0, nms_iou=1.0)
         detector.ModelConfig(score_threshold=1, nms_iou=1e-9)
 
+    @pytest.mark.parametrize("key,value", [
+        ("image_size", "64"), ("image_size", 64.0), ("image_size", True),
+        ("grid_stride", "8"), ("grid_stride", 8.0), ("num_classes", "3"),
+        ("num_classes", True), ("num_classes", None),
+        ("channels", [16, "32", 64, 64]), ("channels", [16, 32, 64.0, 64]),
+        ("channels", [16, 32, 64, False]), ("channels", "16"), ("channels", 16)])
+    def test_integer_fields_type_checked(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            detector.ModelConfig.from_dict({key: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = detector.ModelConfig(image_size=np.int64(64), channels=[np.int32(8)] * 4)
+        assert cfg.grid_size == 8 and cfg.channels == (8, 8, 8, 8)
+        assert all(type(c) is int for c in cfg.channels)
+
 
 class TestForward:
     def test_mask_all_fg_equals_avg_variant(self, rng):
@@ -352,6 +367,60 @@ class TestStemGradientSkip:
             assert np.array_equal(a.grad_bias, b.grad_bias), name
 
 
+@pytest.mark.parametrize("variant", detector.POOLING_VARIANTS)
+def test_backward_releases_conv_columns(variant):
+    records = small_records(2)
+    cfg = small_cfg(variant)
+    ops = detector.build_ops(cfg)
+    model = detector.build_model(cfg, seed=1)
+    levels = detector.mask_levels(ops, detector.mask_pyramids(cfg, [r.fg_mask for r in records]))
+    step = detector.Pass(ops, model, levels, keep=True)
+    raw = step.forward(detector.images_to_tensor(np.stack([r.image for r in records])))
+    convs = [op for op in ops if isinstance(op, detector.Conv)]
+    assert all(op.cols.ndim == 3 for op in convs)  # kept for the backward
+    assert step.backward(np.ones_like(raw)) is None  # the stem skips its input gradient
+    assert not [op for op in convs if hasattr(op, "cols")]
+
+
+class TestWholeNetworkGradient:
+    """Central differences through every op after the stem conv down to
+    compute_loss, in float64: each pooling backward, the stride-2 and stride-1
+    input-gradient folds, ReLU and the box scaling, in one chain."""
+
+    @pytest.mark.parametrize("placement", detector.POOL_PLACEMENTS)
+    @pytest.mark.parametrize("variant", detector.POOLING_VARIANTS)
+    def test_finite_differences(self, variant, placement):
+        cfg = small_cfg(variant, image_size=32, channels=(2, 3, 4, 4), pool_placement=placement)
+        model = detector.build_model(cfg, seed=2)
+        rng = np.random.default_rng(3)
+        head = model.layers["head"]  # zero-initialised: it would pass no gradient on
+        head.weights[...] = rng.standard_normal(head.weights.shape) * 0.5
+        stem, *ops = detector.build_ops(cfg)
+        assert stem.name == "stem"
+        masks = [(rng.random((32, 32)) < 0.4).astype(np.uint8) for _ in range(2)]
+        levels = detector.mask_levels(ops, detector.mask_pyramids(cfg, masks))
+        instances = [[scenegen.Instance(1, (4.0, 6.0, 20.0, 22.0))],
+                     [scenegen.Instance(2, (10.0, 3.0, 30.0, 17.0)),
+                      scenegen.Instance(0, (1.0, 20.0, 9.0, 31.0))]]
+        targets = detector.assign_targets(instances, cfg.grid_size, cfg.grid_stride)
+
+        def loss(x):
+            raw = detector.Pass(ops, model, levels).forward(x)
+            return np.float64(detector.compute_loss(detector.DetHeadOutput.from_raw(raw, 3), targets)[0])
+
+        def grad(x, g):
+            step = detector.Pass(ops, model, levels, keep=True)
+            raw = step.forward(x)
+            _, grad_raw = detector.compute_loss(detector.DetHeadOutput.from_raw(raw, 3), targets)
+            return step.backward(grad_raw) * g
+
+        x = rng.standard_normal((2, 2, 16, 16))  # the stem's output
+        # the first op is a ReLU: skip inputs whose differences would cross its kink
+        err = nn.grad_check(loss, grad, x, epsilon=1e-4, grad_out=np.ones(()),
+                            exclude=np.abs(x) < 1e-2)
+        assert err < 1e-3
+
+
 class TestComputeCounts:
     def hand_counts(self, channels, num_classes, image_size):
         c0, c1, c2, c3 = channels
@@ -462,6 +531,17 @@ class TestCheckpoint:
         path = tmp_path / "ck.mplb"
         detector.save_checkpoint(ckpt, path)
         with pytest.raises(ConfigurationError, match="nms_iou"):
+            detector.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [("image_size", "64"), ("num_classes", "3"),
+                                           ("channels", [2, 2, "2", 2]), ("grid_stride", True)])
+    def test_header_integer_fields_validated(self, tmp_path, key, value):
+        model = detector.build_model(small_cfg("max", channels=(2, 2, 2, 2)), seed=1)
+        ckpt = detector.checkpoint_from_model(model, seed=1, iterations=0)
+        setattr(ckpt.config, key, value)  # bypasses __post_init__, as a foreign writer could
+        path = tmp_path / "ck.mplb"
+        detector.save_checkpoint(ckpt, path)
+        with pytest.raises(ConfigurationError, match=key):
             detector.load_checkpoint(path)
 
     def test_load_then_forward_bitwise(self, tmp_path, rng):

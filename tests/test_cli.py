@@ -223,6 +223,19 @@ class TestPipeline:
         assert (outs[0] / "sweep.json").read_bytes() == (outs[1] / "sweep.json").read_bytes()
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
 
+    def test_perturb_threads_flag_same_bytes(self, pipeline, tmp_path):
+        root, data, ckpts = pipeline
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            cfg = write_config(tmp_path / f"t{threads}.json", dataset=str(data),
+                               checkpoint=str(ckpts["mask"]), weights=[0.5, 1.0, 2.0],
+                               out=str(out))
+            assert cli.main(["perturb", "--config", cfg, "--threads", threads]) == 0
+            outs.append(out)
+        for name in ("sweep.json", "sweep.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_perturb_all_stages_reaches_runner(self, pipeline, tmp_path, monkeypatch):
         root, data, ckpts = pipeline
         runner = experiments.run_bg_activation_sweep

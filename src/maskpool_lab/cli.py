@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, experiments, metrics, nn, scenegen
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, load_json
 
 log = logging.getLogger(__name__)
 
@@ -40,14 +40,7 @@ _OPTIMIZER_KEYS = {"learning_rate", "momentum", "weight_decay"}
 
 
 def _load_config(path, command: str) -> dict:
-    path = Path(path)
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ParseError(path, e.pos, e.msg)
+    cfg = load_json(path, f"config file not found: {path}")
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
     if cfg.get("schema") != 1:

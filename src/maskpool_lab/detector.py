@@ -26,6 +26,7 @@ import numpy as np
 
 from . import maskpool, nn
 from .errors import ConfigurationError, ParseError, TrainingDiverged
+from .metrics import iou_matrix
 
 log = logging.getLogger(__name__)
 
@@ -414,18 +415,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
 
 
-def _py_max(a, b):
-    """Python's ``max(a, b)`` elementwise: ``b`` only where ``b > a``, so a NaN in ``a``
-    is kept but a NaN in ``b`` is ignored (``np.maximum`` returns it), and of two
-    equal zeros ``a``'s sign wins."""
-    return np.where(b > a, b, a)
-
-
-def _py_min(a, b):
-    """Python's ``min(a, b)`` elementwise, as ``_py_max``."""
-    return np.where(b < a, b, a)
-
-
 def decode(head: DetHeadOutput, cfg: ModelConfig):
     """Per image: every (cell, class) with sigmoid(obj)*softmax(class) above the
     score threshold emits a box; degenerate (zero-extent) boxes are dropped.
@@ -445,8 +434,8 @@ def decode(head: DetHeadOutput, cfg: ModelConfig):
     l, t, r, b = np.maximum(head.box_reg[img, :, row, col], 0.0).T
     ccx, ccy = (col + 0.5) * stride, (row + 0.5) * stride
     size = float(cfg.image_size)
-    box = np.stack([_py_max(ccx - l, 0.0), _py_max(ccy - t, 0.0),
-                    _py_min(ccx + r, size), _py_min(ccy + b, size)], axis=1)
+    box = np.stack([np.maximum(ccx - l, 0.0), np.maximum(ccy - t, 0.0),
+                    np.minimum(ccx + r, size), np.minimum(ccy + b, size)], axis=1)
     keep = ~((box[:, 2] <= box[:, 0]) | (box[:, 3] <= box[:, 1]))
     fields = zip(cls[keep].tolist(), score[keep].tolist(), box[keep].tolist(),
                  (row * g + col)[keep].tolist())
@@ -455,25 +444,10 @@ def decode(head: DetHeadOutput, cfg: ModelConfig):
     return [dets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _iou_matrix(box):
-    """``out[i, j] = metrics.iou(box[i], box[j])`` for an (m, 4) float64 array:
-    the same operations in the same operand order, so NaN edges and the 0.0
-    for disjoint or degenerate boxes come out as they do there."""
-    ax0, ay0, ax1, ay1 = (v[:, None] for v in box.T)
-    bx0, by0, bx1, by1 = (v[None, :] for v in box.T)
-    with np.errstate(all="ignore"):
-        iw = _py_min(ax1, bx1) - _py_max(ax0, bx0)
-        ih = _py_min(ay1, by1) - _py_max(ay0, by0)
-        inter = iw * ih
-        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-        iou = inter / union
-    return np.where((iw <= 0) | (ih <= 0) | (union <= 0), 0.0, iou)
-
-
 def nms(dets, iou_thresh: float):
     """Greedy per-class NMS by descending score; score ties broken by lower cell index.
 
-    A candidate is dropped when ``metrics.iou(candidate, kept)`` is not below
+    A candidate is dropped when ``iou_matrix(candidate, kept)`` is not below
     ``iou_thresh`` for some higher-ranked kept detection of its class.  Returns
     the caller's Detection objects by (-score, cell, class); exact ties keep
     their input order."""
@@ -490,7 +464,7 @@ def nms(dets, iou_thresh: float):
     keep = np.ones(len(dets), dtype=bool)
     for lo, hi in zip(bounds, bounds[1:]):  # one class per block, best first
         # suppressed[i, j]: candidate i falls to the higher-ranked j if j is kept
-        suppressed = ~(_iou_matrix(box[lo:hi]) < iou_thresh)
+        suppressed = ~(iou_matrix(box[lo:hi], box[lo:hi]) < iou_thresh)
         block = keep[lo:hi]
         for j in range(hi - lo):
             if block[j]:

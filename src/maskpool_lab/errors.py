@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader that raises them."""
+
+import json
 
 
 class ConfigurationError(ValueError):
@@ -26,3 +28,18 @@ class TrainingDiverged(NumericError):
         super().__init__(f"non-finite loss at iteration {iteration}, first bad layer: {layer}{detail}")
         self.iteration = iteration
         self.layer = layer
+
+
+def load_json(path, missing: str):
+    """The parsed JSON file at ``path``.  No such file raises ConfigurationError
+    with the message ``missing``; bytes that are not UTF-8 JSON raise ParseError
+    at the byte where decoding stopped."""
+    try:
+        with open(path, "rb") as f:
+            return json.loads(f.read())
+    except FileNotFoundError:
+        raise ConfigurationError(missing) from None
+    except UnicodeDecodeError as e:
+        raise ParseError(path, e.start, "not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise ParseError(path, len(e.doc[:e.pos].encode()), e.msg) from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detector, maskpool, metrics, scenegen
-from .errors import ConfigurationError
+from .errors import ConfigurationError, load_json
 
 DEFAULT_SWEEP_WEIGHTS = tuple(0.5 + 0.25 * k for k in range(10))  # 0.5 .. 2.75
 DEFAULT_MORPH_FACTORS = (0.8, 0.9, 1.1, 1.2)
@@ -79,14 +79,20 @@ class ExperimentReport:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        if d.get("schema") != 1:
-            raise ConfigurationError(f"unsupported report schema {d.get('schema')!r}")
-        rep = cls(model_id=d["model_id"], dataset_id=d["dataset_id"],
-                  intervention=d["intervention"], notes=d.get("notes", {}))
-        for r in d["rows"]:
-            rep.rows.append(ReportRow(r["repetition"], r["map50"],
-                                      r["per_class_ap"], r["per_class_hf"]))
+    def from_dict(cls, d: dict, source="report dict") -> "ExperimentReport":
+        """``source`` (the file a report was read from) opens every error message."""
+        schema = d.get("schema") if isinstance(d, dict) else None
+        if schema != 1:
+            raise ConfigurationError(f"{source}: unsupported report schema {schema!r}")
+        try:
+            rep = cls(model_id=d["model_id"], dataset_id=d["dataset_id"],
+                      intervention=d["intervention"], notes=d.get("notes", {}))
+            rep.rows = [ReportRow(r["repetition"], r["map50"], r["per_class_ap"], r["per_class_hf"])
+                        for r in d["rows"]]
+        except (KeyError, TypeError) as e:  # an entry missing, or rows that are not objects
+            raise ConfigurationError(f"{source}: malformed report ({type(e).__name__}: {e})") from None
+        if not rep.rows:
+            raise ConfigurationError(f"{source}: report has no rows")
         return rep
 
     def write_json(self, path) -> None:
@@ -96,8 +102,7 @@ class ExperimentReport:
 
     @classmethod
     def read_json(cls, path) -> "ExperimentReport":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(load_json(path, f"report file not found: {path}"), path)
 
     def write_csv(self, path) -> None:
         classes = sorted({c for r in self.rows for c in r.per_class_ap}, key=str)

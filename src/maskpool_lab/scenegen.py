@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, load_json
 
 DEFAULT_CLASSES = ("circle", "square", "triangle")
 DEFAULT_TEXTURES = ("stripes", "checker", "noise", "gradient")
@@ -414,14 +414,7 @@ def save_dataset(records, classes, out_dir, seed=None, bias=None) -> DatasetMani
 def load_dataset(path) -> DatasetManifest:
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
-    try:
-        with open(manifest_path, "rb") as f:
-            raw = f.read()
-        doc = json.loads(raw)
-    except FileNotFoundError:
-        raise ConfigurationError(f"no manifest at {manifest_path}")
-    except json.JSONDecodeError as e:
-        raise ParseError(manifest_path, e.pos, e.msg)
+    doc = load_json(manifest_path, f"no manifest at {manifest_path}")
     for key in ("classes", "images"):
         if key not in doc:
             raise ParseError(manifest_path, 0, f"manifest missing key {key!r}")

@@ -1,8 +1,11 @@
 """Brute-force AP oracle for ``metrics.average_precision``: re-evaluates
-precision and recall from scratch at every distinct score threshold."""
+precision and recall from scratch at every distinct score threshold.
+
+Its matching and envelope come from ``tests/metrics_reference.py``, the former
+scalar metrics code, so the oracle does not share code with the library."""
 
 from maskpool_lab.errors import ConfigurationError
-from maskpool_lab.metrics import _area_under_envelope, _get, _tp_labels, match_detections
+from metrics_reference import _area_under_envelope, _get, _tp_labels, match_detections
 
 
 def brute_force_ap(dets, gts, iou_thresh: float = 0.5):

@@ -3,7 +3,7 @@ bitwise references for the array versions in ``detector``.
 
 ``decode`` walks each image's ``np.argwhere`` cells one at a time and clips
 with Python ``max``/``min``; ``nms`` groups by class, sorts each group by
-(-score, cell) and keeps a detection when its ``metrics.iou`` with every
+(-score, cell) and keeps a detection when its scalar ``iou`` with every
 already chosen one is below the threshold.  The array versions must return
 the same ``Detection`` values, in the same order, with the same field types.
 """
@@ -11,7 +11,7 @@ the same ``Detection`` values, in the same order, with the same field types.
 import numpy as np
 
 from maskpool_lab.detector import Detection
-from maskpool_lab.metrics import iou as box_iou
+from metrics_reference import iou as box_iou
 
 
 def _sigmoid(x):

@@ -52,6 +52,33 @@ class TestConfigHandling:
         cfg.write_text("{not json")
         assert cli.main(["gen", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("case, expected", [
+        ("missing_file", "report file not found"),
+        ("truncated_json", "byte 31"),  # the cut-off '"dataset_' string starts there
+        ("no_dataset_id", "KeyError: 'dataset_id'"),
+        ("no_rows", "no rows"),
+        ("row_not_object", "malformed report (TypeError"),
+    ])
+    def test_report_input_errors_exit_1(self, tmp_path, capsys, case, expected):
+        doc = {"schema": 1, "model_id": "m", "dataset_id": "d", "intervention": "sweep",
+               "rows": [{"repetition": 0, "map50": 1.0, "per_class_ap": {}, "per_class_hf": {}}]}
+        text = json.dumps(doc)
+        if case == "no_dataset_id":
+            text = json.dumps({k: v for k, v in doc.items() if k != "dataset_id"})
+        elif case == "no_rows":
+            text = json.dumps(dict(doc, rows=[]))
+        elif case == "row_not_object":
+            text = json.dumps(dict(doc, rows=[3]))
+        elif case == "truncated_json":
+            text = text[:40]
+        path = tmp_path / "rep.json"
+        if case != "missing_file":
+            path.write_text(text)
+        cfg = write_config(tmp_path / "r.json", reports=[str(path)], out=str(tmp_path / "out"))
+        assert cli.main(["report", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and expected in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_failure_exit_2(self, tmp_path):
         # a valid config whose training diverges fails at run time

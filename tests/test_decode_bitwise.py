@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import decode_reference as ref
-from maskpool_lab import detector, experiments, metrics, nn, scenegen
+from maskpool_lab import detector, experiments, nn, scenegen
+from metrics_reference import iou
 
 INF, NAN = math.inf, math.nan
 # repeated values make scores tie across cells; the extremes overflow exp()
@@ -84,7 +85,7 @@ def detection_lists(draw):
                          st.floats(0.0, 1.0, exclude_min=True)))
     if len(dets) >= 2 and draw(st.booleans()):  # a threshold some pair meets exactly
         a, b = draw(st.sampled_from(dets)), draw(st.sampled_from(dets))
-        q = metrics.iou(a.box, b.box)
+        q = iou(a.box, b.box)
         if 0 < q <= 1:
             thr = q
     return dets, thr
@@ -123,7 +124,7 @@ def test_iou_exactly_at_threshold_suppresses():
 
 
 def test_nan_box_iou_operand_order():
-    # IoU(candidate, chosen) as metrics.iou computes it: max(nan, 20) is nan,
+    # IoU(candidate, chosen) as the scalar iou computes it: max(nan, 20) is nan,
     # max(20, nan) is 20, so a nan box is suppressed by a disjoint chosen box
     # but does not suppress a disjoint candidate itself
     finite = detector.Detection(0, 0.9, (20.0, 0.0, 30.0, 10.0), cell=0)

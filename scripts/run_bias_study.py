@@ -4,7 +4,8 @@ biased synthetic dataset, then compare robustness under background swaps,
 background activation scaling, and mask-boundary perturbation.
 
 Outputs one JSON/CSV report per (variant, seed, intervention) plus a
-summary.json with the per-seed drops and sweep diffs.
+summary.json with the per-seed drops and sweep diffs.  The study itself is
+``maskpool_lab.experiments.run_study``; this script only parses its flags.
 
 Usage:
     python3 scripts/run_bias_study.py --out runs/bias_study
@@ -13,118 +14,25 @@ Usage:
 """
 
 import argparse
-import json
 import logging
-import time
-from pathlib import Path
+from dataclasses import fields
 
-from maskpool_lab import detector, experiments, nn, scenegen
-
-log = logging.getLogger("bias_study")
-
-TRAIN_SEED = 1000
-VAL_SEED = 2000
-BG_POOL_SEED = 3000
-
-
-def build_datasets(args):
-    bias = scenegen.BiasSpec.concentrated(3, 4, args.bias)
-    log.info("generating %d train / %d val images (bias %.2f)",
-             args.train_images, args.val_images, args.bias)
-    train = scenegen.generate_dataset(args.train_images, args.image_size,
-                                      bias=bias, seed=TRAIN_SEED)
-    val = scenegen.generate_dataset(args.val_images, args.image_size,
-                                    bias=bias, seed=VAL_SEED)
-    pool = scenegen.generate_bg_pool(args.bg_pool, args.image_size, seed=BG_POOL_SEED)
-    return train, val, pool
-
-
-def train_variant(train_records, variant, seed, args):
-    cfg = detector.ModelConfig(pooling_variant=variant, image_size=args.image_size)
-    opt = nn.OptimizerConfig(learning_rate=args.lr)
-    t = time.time()
-    ckpt = detector.train(train_records, cfg, opt, iterations=args.iterations,
-                          batch_size=args.batch_size, seed=seed, log_every=500)
-    log.info("trained %s seed %d in %.1f min", variant, seed, (time.time() - t) / 60)
-    return ckpt
+from maskpool_lab.experiments import StudySpec, run_study
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--train-images", type=int, default=2000)
-    parser.add_argument("--val-images", type=int, default=500)
-    parser.add_argument("--image-size", type=int, default=128)
-    parser.add_argument("--iterations", type=int, default=3000)
-    parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument("--lr", type=float, default=0.01)
-    parser.add_argument("--bias", type=float, default=0.85)
-    parser.add_argument("--bg-pool", type=int, default=16)
-    parser.add_argument("--repetitions", type=int, default=5)
-    args = parser.parse_args(argv)
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(StudySpec.seeds))
+    for f in fields(StudySpec):
+        if f.name != "seeds":  # --train-images, ..., --repetitions
+            parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                default=f.default)
+    args = vars(parser.parse_args(argv))
 
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    train_records, val_records, bg_pool = build_datasets(args)
-    names = list(scenegen.DEFAULT_CLASSES)
-
-    summary = {"schema": 1, "seeds": {}, "config": vars(args)}
-    for seed in args.seeds:
-        row = {}
-        for variant in ("max", "mask"):
-            ckpt = train_variant(train_records, variant, seed, args)
-            detector.save_checkpoint(ckpt, out / f"{variant}-seed{seed}.mplb")
-            model = detector.model_from_checkpoint(ckpt)
-            model_id = f"{variant}-seed{seed}"
-
-            base = experiments.evaluate_records(model, val_records, names)
-            rnd = experiments.run_random_bg_eval(ckpt, val_records, bg_pool,
-                                                 repetitions=args.repetitions, seed=seed,
-                                                 model_id=model_id, dataset_id="val")
-            sweep = experiments.run_bg_activation_sweep(ckpt, val_records,
-                                                        model_id=model_id, dataset_id="val")
-            rnd.write_json(out / f"random_bg-{model_id}.json")
-            rnd.write_csv(out / f"random_bg-{model_id}.csv")
-            sweep.write_json(out / f"sweep-{model_id}.json")
-            sweep.write_csv(out / f"sweep-{model_id}.csv")
-
-            rb = rnd.aggregates["map50"]
-            row[variant] = {
-                "in_domain": base.map50,
-                "random_bg_mean": rb["mean"],
-                "random_bg_std": rb["std"],
-                "drop": base.map50 - rb["mean"],
-                "sweep_diff": sweep.aggregates["map50"]["diff"],
-                "per_class_hf": {k: list(v) for k, v in base.per_class_hf.items()},
-            }
-            log.info("%s: in-domain %.2f, random-bg %.2f +- %.2f, drop %.2f, sweep diff %.2f",
-                     model_id, base.map50, rb["mean"], rb["std"], row[variant]["drop"],
-                     row[variant]["sweep_diff"])
-            if variant == "mask":
-                abl = experiments.run_boundary_ablation(ckpt, val_records,
-                                                        model_id=model_id, dataset_id="val")
-                abl.write_json(out / f"ablation-{model_id}.json")
-                abl.write_csv(out / f"ablation-{model_id}.csv")
-                row["ablation"] = {str(r.repetition): r.map50 for r in abl.rows}
-                log.info("ablation %s: %s", model_id,
-                         {k: round(v, 2) for k, v in row["ablation"].items()})
-        diff = experiments.diff_report(row["max"]["per_class_hf"], row["mask"]["per_class_hf"],
-                                       "max", "mask")
-        row["hf_diff"] = diff
-        summary["seeds"][str(seed)] = row
-
-    drops = [(s["mask"]["drop"], s["max"]["drop"]) for s in summary["seeds"].values()]
-    sweeps = [(s["mask"]["sweep_diff"], s["max"]["sweep_diff"]) for s in summary["seeds"].values()]
-    summary["mask_drops_less"] = sum(m < x for m, x in drops)
-    summary["mask_sweep_diff_leq"] = sum(m <= x for m, x in sweeps)
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
-    log.info("drop(mask) < drop(max) in %d/%d seeds; sweep Diff(mask) <= Diff(max) in %d/%d",
-             summary["mask_drops_less"], len(drops), summary["mask_sweep_diff_leq"], len(sweeps))
+    out = args.pop("out")
+    run_study(StudySpec(**args), out)
     return 0
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, experiments, metrics, nn, scenegen
-from .errors import ConfigurationError, ParseError, load_json
+from .errors import ConfigurationError, ParseError, load_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -75,9 +75,7 @@ def _write_run_manifest(out_dir: Path, command: str, cfg: dict, seed, artifacts)
         "seed": seed,
         "artifacts": sorted(str(a) for a in artifacts),
     }
-    with open(out_dir / "run.json", "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "run.json", doc)
 
 
 def _out_dir(cfg, args) -> Path:
@@ -176,15 +174,11 @@ def cmd_eval(cfg: dict, args) -> int:
     doc = {"schema": 1, "map50": result.map50,
            "per_class_ap": result.per_class_ap,
            "per_class_hf": {str(k): list(v) for k, v in result.per_class_hf.items()}}
-    with open(out / "eval.json", "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(out / "eval.json", doc)
     dets = [{"image_id": img, "class_id": d.class_id, "score": d.score, "bbox": list(d.box)}
             for img in sorted(result.dets_by_image)
             for d in result.dets_by_image[img]]
-    with open(out / "detections.json", "w") as f:
-        json.dump(dets, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(out / "detections.json", dets)
     _write_run_manifest(out, "eval", cfg, seed, ["eval.json", "detections.json"])
     log.info("mAP50 %.3f", result.map50)
     return 0
@@ -263,9 +257,7 @@ def cmd_report(cfg: dict, args) -> int:
         summary["reports"].append({"path": str(p), "model_id": rep.model_id,
                                    "dataset_id": rep.dataset_id,
                                    "intervention": rep.intervention, **agg})
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(out / "summary.json", summary)
     with open(out / "summary.csv", "w") as f:
         f.write("model_id,dataset_id,intervention,mean,std,min,max,diff\n")
         for row in summary["reports"]:
@@ -280,9 +272,7 @@ def cmd_report(cfg: dict, args) -> int:
         rep_a = experiments.ExperimentReport.read_json(d["a"])
         rep_b = experiments.ExperimentReport.read_json(d["b"])
         diff = experiments.diff_report(rep_a, rep_b, rep_a.model_id, rep_b.model_id)
-        with open(out / "diff.json", "w") as f:
-            json.dump(diff, f, indent=1, sort_keys=True)
-            f.write("\n")
+        write_json(out / "diff.json", diff)
         (out / "diff.txt").write_text(experiments.render_diff_table(diff) + "\n")
         artifacts += ["diff.json", "diff.txt"]
     _write_run_manifest(out, "report", cfg, seed, artifacts)

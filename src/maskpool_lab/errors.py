@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the JSON file reader that raises them."""
+"""Exception types shared across the package, the JSON file reader that raises
+them, and the one JSON file writer."""
 
 import json
 
@@ -43,3 +44,10 @@ def load_json(path, missing: str):
         raise ParseError(path, e.start, "not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise ParseError(path, len(e.doc[:e.pos].encode()), e.msg) from None
+
+
+def write_json(path, doc) -> None:
+    """Every JSON file the package writes: sorted keys, one-space indent, final newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")

@@ -1,4 +1,5 @@
-"""Causal-intervention harness: activation sweeps, background swaps, mask ablation.
+"""Causal-intervention harness: activation sweeps, background swaps, mask ablation,
+and the multi-seed max-vs-mask study built from them (``run_study``).
 
 Every runner takes a trained checkpoint plus a dataset and emits an
 ExperimentReport: one row per evaluation (sweep weight, repetition or
@@ -11,15 +12,19 @@ iteration order, so identical runs produce identical files.
 from __future__ import annotations
 
 import csv
-import json
+import logging
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from . import detector, maskpool, metrics, scenegen
-from .errors import ConfigurationError, load_json
+from . import detector, maskpool, metrics, nn, scenegen
+from .errors import ConfigurationError, load_json, write_json
+
+log = logging.getLogger(__name__)
 
 DEFAULT_SWEEP_WEIGHTS = tuple(0.5 + 0.25 * k for k in range(10))  # 0.5 .. 2.75
 DEFAULT_MORPH_FACTORS = (0.8, 0.9, 1.1, 1.2)
@@ -96,9 +101,7 @@ class ExperimentReport:
         return rep
 
     def write_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def read_json(cls, path) -> "ExperimentReport":
@@ -211,6 +214,8 @@ def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int =
                        feather_radius: int = 0, threads: int = 1,
                        model_id: str = "model", dataset_id: str = "dataset") -> ExperimentReport:
     """Re-composite every record onto a random pool background, per repetition."""
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     if not bg_pool:
         raise ConfigurationError("background pool is empty")
     model = _model_of(ckpt)
@@ -233,8 +238,9 @@ def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 
                       feather_radius: int = 0, threads: int = 1,
                       model_id: str = "model", dataset_id: str = "dataset") -> ExperimentReport:
     """One shared background per repetition, sampled from the pool without replacement."""
-    if len(bg_pool) < repetitions:
-        raise ConfigurationError(f"pool of {len(bg_pool)} backgrounds < {repetitions} repetitions")
+    if not 1 <= repetitions <= len(bg_pool):
+        raise ConfigurationError(f"repetitions must be between 1 and the pool size, got "
+                                 f"{repetitions} repetitions for {len(bg_pool)} backgrounds")
     model = _model_of(ckpt)
     records, class_names = load_records(dataset)
     pyramids = detector.mask_pyramids(model.cfg, [r.fg_mask for r in records])
@@ -319,3 +325,100 @@ def render_diff_table(diff: dict) -> str:
         lines.append(f"{str(row['fg']):<12} {fmt(row[la]):>10} {fmt(row[lb]):>10} {fmt(row['diff']):>10}")
     lines.append(f"improved {diff['improved']} of {diff['pairs']} pairs")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# the multi-seed context-bias study
+# ---------------------------------------------------------------------------
+
+TRAIN_SEED, VAL_SEED, BG_POOL_SEED = 1000, 2000, 3000
+
+
+@dataclass
+class StudySpec:
+    """Scale and training settings of ``run_study``; bias-study script flags."""
+    seeds: tuple = (0, 1, 2)
+    train_images: int = 2000
+    val_images: int = 500
+    image_size: int = 128
+    iterations: int = 3000
+    batch_size: int = 8
+    lr: float = 0.01
+    bias: float = 0.85
+    bg_pool: int = 16
+    repetitions: int = 5
+
+
+def run_study(spec: StudySpec, out) -> tuple:
+    """Train max- and mask-pooling detectors per seed on the biased dataset and
+    score each in-domain, under random-BG swaps and the activation sweep, plus a
+    boundary ablation of each mask model.  Writes the checkpoints, one JSON and
+    CSV report per (intervention, variant, seed) and summary.json under ``out``.
+    Returns the summary and the wall seconds of every runner call, keyed like
+    the report files (``eval-max-seed0``, ``sweep-mask-seed1``, ...); the
+    seconds enter no file, so the files stay deterministic."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    bias = scenegen.BiasSpec.concentrated(3, 4, spec.bias)
+    log.info("generating %d train / %d val images (bias %.2f)",
+             spec.train_images, spec.val_images, spec.bias)
+    train_records = scenegen.generate_dataset(spec.train_images, spec.image_size,
+                                              bias=bias, seed=TRAIN_SEED)
+    val_records = scenegen.generate_dataset(spec.val_images, spec.image_size,
+                                            bias=bias, seed=VAL_SEED)
+    bg_pool = scenegen.generate_bg_pool(spec.bg_pool, spec.image_size, seed=BG_POOL_SEED)
+    names = list(scenegen.DEFAULT_CLASSES)
+    seconds = {}
+
+    def run(key, fn, *args, **kwargs):  # times fn under key; a report goes to key.json/.csv
+        t = time.perf_counter()
+        result = fn(*args, **kwargs)
+        seconds[key] = time.perf_counter() - t
+        if isinstance(result, ExperimentReport):
+            result.write_json(out / f"{key}.json")
+            result.write_csv(out / f"{key}.csv")
+        return result
+
+    config = {**asdict(spec), "seeds": list(spec.seeds), "out": str(out)}  # as json.load reads it
+    summary = {"schema": 1, "seeds": {}, "config": config}
+    for seed in spec.seeds:
+        row = {}
+        for variant in ("max", "mask"):
+            model_id = f"{variant}-seed{seed}"
+            t = time.perf_counter()
+            cfg = detector.ModelConfig(pooling_variant=variant, image_size=spec.image_size)
+            ckpt = detector.train(train_records, cfg, nn.OptimizerConfig(learning_rate=spec.lr),
+                                  iterations=spec.iterations, batch_size=spec.batch_size,
+                                  seed=seed, log_every=500)
+            log.info("trained %s in %.1f min", model_id, (time.perf_counter() - t) / 60)
+            detector.save_checkpoint(ckpt, out / f"{model_id}.mplb")
+            ids = {"model_id": model_id, "dataset_id": "val"}
+            base = run(f"eval-{model_id}", evaluate_records,
+                       detector.model_from_checkpoint(ckpt), val_records, names)
+            rb = run(f"random_bg-{model_id}", run_random_bg_eval, ckpt, val_records, bg_pool,
+                     repetitions=spec.repetitions, seed=seed, **ids).aggregates["map50"]
+            sweep = run(f"sweep-{model_id}", run_bg_activation_sweep, ckpt, val_records, **ids)
+            row[variant] = {"in_domain": base.map50, "random_bg_mean": rb["mean"],
+                            "random_bg_std": rb["std"], "drop": base.map50 - rb["mean"],
+                            "sweep_diff": sweep.aggregates["map50"]["diff"],
+                            "per_class_hf": {k: list(v) for k, v in base.per_class_hf.items()}}
+            log.info("%s: in-domain %.2f, random-bg %.2f +- %.2f, drop %.2f, sweep diff %.2f",
+                     model_id, base.map50, rb["mean"], rb["std"], row[variant]["drop"],
+                     row[variant]["sweep_diff"])
+            if variant == "mask":
+                abl = run(f"ablation-{model_id}", run_boundary_ablation, ckpt, val_records, **ids)
+                row["ablation"] = {str(r.repetition): r.map50 for r in abl.rows}
+                log.info("ablation %s: %s", model_id,
+                         {k: round(v, 2) for k, v in row["ablation"].items()})
+        row["hf_diff"] = diff_report(row["max"]["per_class_hf"], row["mask"]["per_class_hf"],
+                                     "max", "mask")
+        summary["seeds"][str(seed)] = row
+
+    rows = summary["seeds"].values()
+    summary["mask_drops_less"] = sum(s["mask"]["drop"] < s["max"]["drop"] for s in rows)
+    summary["mask_sweep_diff_leq"] = sum(s["mask"]["sweep_diff"] <= s["max"]["sweep_diff"]
+                                         for s in rows)
+    write_json(out / "summary.json", summary)
+    log.info("drop(mask) < drop(max) in %d/%d seeds; sweep Diff(mask) <= Diff(max) in %d/%d",
+             summary["mask_drops_less"], len(rows), summary["mask_sweep_diff_leq"], len(rows))
+    return summary, seconds

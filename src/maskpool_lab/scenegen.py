@@ -18,7 +18,6 @@ intervention well-defined against an unchanged ground truth.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, load_json
+from .errors import ConfigurationError, ParseError, load_json, write_json
 
 DEFAULT_CLASSES = ("circle", "square", "triangle")
 DEFAULT_TEXTURES = ("stripes", "checker", "noise", "gradient")
@@ -404,11 +403,28 @@ def save_dataset(records, classes, out_dir, seed=None, bias=None) -> DatasetMani
             ],
         })
     doc = {"classes": list(classes), "seed": seed, "bias": bias, "images": entries}
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "manifest.json", doc)
     return DatasetManifest(root=out_dir, classes=list(classes), images=entries,
                            seed=seed, bias=bias)
+
+
+def _entry_error(index: int, e) -> str | None:
+    """Why manifest image entry ``index`` cannot become an ImageRecord, or None."""
+    if not isinstance(e, dict):
+        return f"image entry {index} is not an object"
+    name = f"image {e['id']!r}" if isinstance(e.get("id"), str) else f"image entry {index}"
+    for key in ("id", "file", "mask_file", "width", "height", "instances"):
+        if key not in e:
+            return f"{name}: image entry missing key {key!r}"
+    if not (all(isinstance(e[k], str) for k in ("id", "file", "mask_file"))
+            and isinstance(e["instances"], list)):
+        return f"{name}: id, file and mask_file must be strings and instances a list"
+    for inst in e["instances"]:
+        box = inst.get("bbox") if isinstance(inst, dict) else None
+        if not (isinstance(box, list) and len(box) == 4 and isinstance(inst.get("class_id"), int)
+                and all(isinstance(v, (int, float)) for v in box)):
+            return f"{name}: instance {inst!r} needs an integer class_id and 4 numbers in bbox"
+    return None
 
 
 def load_dataset(path) -> DatasetManifest:
@@ -416,20 +432,22 @@ def load_dataset(path) -> DatasetManifest:
     manifest_path = path / "manifest.json" if path.is_dir() else path
     doc = load_json(manifest_path, f"no manifest at {manifest_path}")
     for key in ("classes", "images"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise ParseError(manifest_path, 0, f"manifest missing key {key!r}")
+        if not isinstance(doc[key], list):
+            raise ParseError(manifest_path, 0, f"manifest key {key!r} is not a list")
     root = manifest_path.parent
-    ids = [e["id"] for e in doc["images"]]
-    if len(ids) != len(set(ids)):
-        raise ConfigurationError(f"{manifest_path}: duplicate image ids")
-    for e in doc["images"]:
-        for key in ("id", "file", "mask_file", "width", "height", "instances"):
-            if key not in e:
-                raise ParseError(manifest_path, 0, f"image entry missing key {key!r}")
+    for index, e in enumerate(doc["images"]):
+        error = _entry_error(index, e)
+        if error:
+            raise ParseError(manifest_path, 0, error)
         if not (root / e["file"]).exists():
             raise ConfigurationError(f"missing image file {e['file']} (referenced by {manifest_path})")
         if not (root / e["mask_file"]).exists():
             raise ConfigurationError(f"missing mask file {e['mask_file']} (referenced by {manifest_path})")
+    ids = [e["id"] for e in doc["images"]]
+    if len(ids) != len(set(ids)):
+        raise ConfigurationError(f"{manifest_path}: duplicate image ids")
     return DatasetManifest(root=root, classes=list(doc["classes"]), images=doc["images"],
                            seed=doc.get("seed"), bias=doc.get("bias"))
 

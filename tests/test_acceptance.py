@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
-as they complete.  Criteria 5-7 share one 3-seed training study at the
-default desk scale (2000 train / 500 val images, 3000 iterations per run)
-and together take roughly half an hour on a small CPU box.
+as they complete.  Criteria 5-7 read the summary of one 3-seed study,
+`experiments.run_study(StudySpec())` at the default desk scale (2000 train /
+500 val images, 3000 iterations per run), the same study that
+`scripts/run_bias_study.py` reports; it takes about 15 min on a 2-core box.
 """
 
 import json
@@ -14,9 +15,6 @@ import pytest
 
 import ap_oracle
 from maskpool_lab import cli, detector, experiments, maskpool, metrics, nn, scenegen
-
-SEEDS = (0, 1, 2)
-TRAIN_SEED, VAL_SEED, BG_POOL_SEED = 1000, 2000, 3000
 
 
 def report(n, passed, detail=""):
@@ -233,76 +231,45 @@ def test_criterion_8_hierarchical_f1_fixtures():
 # -------------------------------------------------------------------------
 
 @pytest.fixture(scope="session")
-def study():
-    bias = scenegen.BiasSpec.concentrated(3, 4, 0.85)
-    train_records = scenegen.generate_dataset(2000, 128, bias=bias, seed=TRAIN_SEED)
-    val_records = scenegen.generate_dataset(500, 128, bias=bias, seed=VAL_SEED)
-    bg_pool = scenegen.generate_bg_pool(16, 128, seed=BG_POOL_SEED)
-    names = list(scenegen.DEFAULT_CLASSES)
-    out = {}
-    for seed in SEEDS:
-        for variant in ("max", "mask"):
-            cfg = detector.ModelConfig(pooling_variant=variant)
-            ckpt = detector.train(train_records, cfg, nn.OptimizerConfig(),
-                                  iterations=3000, batch_size=8, seed=seed, log_every=0)
-            out[(variant, seed)] = ckpt
-    return out, val_records, bg_pool, names
+def study(tmp_path_factory):
+    return experiments.run_study(experiments.StudySpec(), tmp_path_factory.mktemp("study"))
 
 
 @pytest.mark.slow
 def test_criterion_5_context_bias_direction(study):
-    t0 = time.time()
-    ckpts, val_records, bg_pool, names = study
-    wins = 0
-    details = []
-    for seed in SEEDS:
-        drops = {}
-        for variant in ("max", "mask"):
-            ckpt = ckpts[(variant, seed)]
-            model = detector.model_from_checkpoint(ckpt)
-            base = experiments.evaluate_records(model, val_records, names).map50
-            rnd = experiments.run_random_bg_eval(ckpt, val_records, bg_pool,
-                                                 repetitions=5, seed=seed)
-            drops[variant] = base - rnd.aggregates["map50"]["mean"]
-            details.append(f"{variant}-s{seed}: base {base:.1f} drop {drops[variant]:.1f}")
-        wins += drops["mask"] < drops["max"]
-    elapsed = (time.time() - t0) / 60
-    report(5, wins >= 2, f"drop(mask) < drop(max) in {wins}/3 seeds "
+    summary, seconds = study
+    wins = summary["mask_drops_less"]
+    details = [f"{variant}-s{seed}: base {row[variant]['in_domain']:.1f} "
+               f"drop {row[variant]['drop']:.1f}"
+               for seed, row in summary["seeds"].items() for variant in ("max", "mask")]
+    elapsed = sum(t for k, t in seconds.items() if k.startswith(("eval-", "random_bg-"))) / 60
+    report(5, wins >= 2, f"drop(mask) < drop(max) in {wins}/{len(summary['seeds'])} seeds "
            f"[{'; '.join(details)}] ({elapsed:.1f} min eval)")
 
 
 @pytest.mark.slow
 def test_criterion_6_perturbation_robustness(study):
-    t0 = time.time()
-    ckpts, val_records, _bg, names = study
-    wins = 0
-    details = []
-    for seed in SEEDS:
-        diffs = {}
-        for variant in ("max", "mask"):
-            rep = experiments.run_bg_activation_sweep(ckpts[(variant, seed)], val_records)
-            diffs[variant] = rep.aggregates["map50"]["diff"]
-        details.append(f"s{seed}: mask {diffs['mask']:.1f} vs max {diffs['max']:.1f}")
-        wins += diffs["mask"] <= diffs["max"]
-    elapsed = (time.time() - t0) / 60
+    summary, seconds = study
+    wins = summary["mask_sweep_diff_leq"]
+    details = [f"s{seed}: mask {row['mask']['sweep_diff']:.1f} "
+               f"vs max {row['max']['sweep_diff']:.1f}" for seed, row in summary["seeds"].items()]
+    elapsed = sum(t for k, t in seconds.items() if k.startswith("sweep-")) / 60
     ok = wins >= 2 and elapsed < 15
-    report(6, ok, f"Diff(mask) <= Diff(max) in {wins}/3 seeds [{'; '.join(details)}] "
-           f"({elapsed:.1f} min)")
+    report(6, ok, f"Diff(mask) <= Diff(max) in {wins}/{len(summary['seeds'])} seeds "
+           f"[{'; '.join(details)}] ({elapsed:.1f} min)")
 
 
 @pytest.mark.slow
 def test_criterion_7_boundary_ablation_monotone(study):
-    t0 = time.time()
-    ckpts, val_records, _bg, names = study
-    rep = experiments.run_boundary_ablation(ckpts[("mask", SEEDS[0])], val_records)
-    by_factor = {r.repetition: r.map50 for r in rep.rows}
+    summary, seconds = study
+    by_factor = summary["seeds"]["0"]["ablation"]
     base = by_factor["baseline"]
     slack = 1.0
-    dilate_ok = (by_factor[1.2] <= by_factor[1.1] + slack
-                 and by_factor[1.1] <= base + slack)
-    erode_ok = (by_factor[0.8] <= by_factor[0.9] + slack
-                and by_factor[0.9] <= base + slack)
-    elapsed = (time.time() - t0) / 60
+    dilate_ok = (by_factor["1.2"] <= by_factor["1.1"] + slack
+                 and by_factor["1.1"] <= base + slack)
+    erode_ok = (by_factor["0.8"] <= by_factor["0.9"] + slack
+                and by_factor["0.9"] <= base + slack)
+    elapsed = seconds["ablation-mask-seed0"] / 60
     detail = ", ".join(f"{k}: {v:.2f}" for k, v in by_factor.items())
     report(7, dilate_ok and erode_ok and elapsed < 10, f"{detail} ({elapsed:.1f} min)")
 

@@ -101,6 +101,18 @@ class TestConfigHandling:
         assert cli.main(["eval", "--config", cfg]) == 1
         assert "garbage.mplb: byte 4:" in capsys.readouterr().err
 
+    def test_malformed_manifest_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["gen", "--config", gen_config(tmp_path, data, n_images=2)]) == 0
+        doc = json.loads((data / "manifest.json").read_text())
+        del doc["images"][1]["instances"][0]["class_id"]
+        (data / "manifest.json").write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "e.json", dataset=str(data),
+                           checkpoint=str(tmp_path / "absent.mplb"), out=str(tmp_path / "evalout"))
+        assert cli.main(["eval", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{data / 'manifest.json'}: byte 0: image {doc['images'][1]['id']!r}" in err
+
     def test_non_finite_checkpoint_weight_exit_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert cli.main(["gen", "--config", gen_config(tmp_path, data, n_images=2)]) == 0

@@ -1,6 +1,8 @@
 """Intervention harness tests: identity interventions are exact no-ops,
 report aggregates and schema round trips, ablation and diff tables."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,15 @@ class TestRandomBg:
         with pytest.raises(ConfigurationError):
             experiments.run_random_bg_eval(ckpt_max, records, [], repetitions=1, seed=0)
 
+    @pytest.mark.parametrize("runner", [experiments.run_random_bg_eval,
+                                        experiments.run_fixed_bg_eval])
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_repetitions_below_one_rejected_before_work(self, runner, repetitions):
+        # neither a checkpoint nor a dataset: any work before the check would fail otherwise
+        pool = scenegen.generate_bg_pool(2, 64, seed=1)
+        with pytest.raises(ConfigurationError, match="repetitions"):
+            runner(None, None, pool, repetitions=repetitions)
+
     def test_ground_truth_never_altered(self, world):
         records, names, ckpt_max, _ = world
         before = [[(i.class_id, i.box) for i in r.instances] for r in records]
@@ -251,3 +262,23 @@ class TestDiffReport:
     def test_disjoint_sets_warn(self):
         with pytest.warns(UserWarning, match="disjoint"):
             experiments.diff_report({"a": 0.1}, {"b": 0.2})
+
+
+class TestStudy:
+    def test_returns_written_summary_and_runner_seconds(self, tmp_path):
+        spec = experiments.StudySpec(seeds=(0,), train_images=8, val_images=4, image_size=64,
+                                     iterations=4, bg_pool=2, repetitions=2)
+        summary, seconds = experiments.run_study(spec, tmp_path / "study")
+        assert summary == json.loads((tmp_path / "study" / "summary.json").read_text())
+        assert summary["config"] == {"seeds": [0], "train_images": 8, "val_images": 4,
+                                     "image_size": 64, "iterations": 4, "batch_size": 8,
+                                     "lr": 0.01, "bias": 0.85, "bg_pool": 2, "repetitions": 2,
+                                     "out": str(tmp_path / "study")}
+        reports = {"random_bg-max-seed0", "sweep-max-seed0", "random_bg-mask-seed0",
+                   "sweep-mask-seed0", "ablation-mask-seed0"}
+        assert set(seconds) == reports | {"eval-max-seed0", "eval-mask-seed0"}
+        assert all(t >= 0 for t in seconds.values())
+        written = {p.name for p in (tmp_path / "study").iterdir()}
+        assert written == ({f"{r}.{ext}" for r in reports for ext in ("json", "csv")}
+                           | {"max-seed0.mplb", "mask-seed0.mplb", "summary.json"})
+        assert list(summary["seeds"]["0"]["ablation"]) == ["baseline", "0.8", "0.9", "1.1", "1.2"]

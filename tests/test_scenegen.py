@@ -149,6 +149,32 @@ class TestManifestIO:
         with pytest.raises(ConfigurationError, match="duplicate"):
             scenegen.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("case", ["entry without id", "instance without class_id",
+                                      "non-numeric bbox", "instances not a list",
+                                      "images not a list"])
+    def test_malformed_manifest_is_parse_error(self, tmp_path, case):
+        scenegen.generate_dataset(1, 64, seed=1, out_dir=tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        entry = doc["images"][0]
+        named = f"image {entry['id']!r}:"
+        if case == "entry without id":
+            del entry["id"]
+            named = "image entry 0:"
+        elif case == "instance without class_id":
+            del entry["instances"][0]["class_id"]
+        elif case == "non-numeric bbox":
+            entry["instances"][0]["bbox"] = ["a", 1, 2, 3]
+        elif case == "instances not a list":
+            entry["instances"] = 5
+        else:
+            doc["images"] = 3
+            named = "'images' is not a list"
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as e:
+            scenegen.load_dataset(tmp_path)
+        assert e.value.path == str(tmp_path / "manifest.json") and e.value.offset == 0
+        assert named in str(e.value)
+
     def test_comment_in_header_ok(self, tmp_path):
         p = tmp_path / "c.pgm"
         p.write_bytes(b"P5\n# a comment\n2 1\n255\n\x00\xff")

@@ -4,8 +4,8 @@ op list in ``detector``.
 The topology used to be written out as a tuple plan (``_plan``, an if-ladder
 over pool placement x background mode), walked by string dispatch in
 ``_run_forward`` / ``_run_backward``, walked again by ``count_params_flops``,
-and driven by a ``train`` loop that restacked each batch's mask levels from
-the per-record pyramids.  The op list must reproduce these head outputs,
+and driven by a ``train`` loop that downsampled each batch's masks to the
+strides it reads.  The op list must reproduce these head outputs,
 parameter gradients, cost counts and checkpoints bit for bit.  Its
 convolutions are the former kernels in ``conv_reference``.
 """
@@ -160,9 +160,7 @@ def train(records, model_cfg, opt_cfg, iterations, batch_size=8, seed=0):
     images = np.stack([r.image for r in records])
     instances = [r.instances for r in records]
     strides = required_mask_strides(model_cfg)
-    pyramids = None
-    if strides:
-        pyramids = [maskpool.build_pyramid(r.fg_mask, strides) for r in records]
+    masks = [r.fg_mask for r in records]
 
     model = detector.build_model(model_cfg, seed)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))
@@ -177,7 +175,8 @@ def train(records, model_cfg, opt_cfg, iterations, batch_size=8, seed=0):
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
         x = detector.images_to_tensor(images[idx])
-        levels = {s: np.stack([pyramids[i].at_stride(s) for i in idx]) for s in strides} or None
+        levels = {s: np.stack([maskpool.downsample_mask(masks[i], s) for i in idx])
+                  for s in strides} or None
         raw, cache = _run_forward(model, x, levels, 1.0, None, keep=True)
         head = detector.DetHeadOutput.from_raw(raw, model_cfg.num_classes)
         targets = detector.assign_targets([instances[i] for i in idx], grid, model_cfg.grid_stride)

@@ -2,7 +2,7 @@
 
 Submodules:
   nn          -- float32 (n,c,h,w) tensor ops with hand-written backwards
-  maskpool    -- boundary-aware mask pooling, mask pyramids, interventions
+  maskpool    -- boundary-aware mask pooling, per-stride mask stacks, interventions
   scenegen    -- biased synthetic scenes, PPM/PGM datasets, BG compositing
   detector    -- tiny anchor-free detector with a swappable pooling slot
   metrics     -- IoU, AP@0.5, mAP50, hierarchical F1

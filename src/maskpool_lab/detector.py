@@ -185,6 +185,11 @@ class Pass:
     bg_weight: float = 1.0
     keep: bool = False          # each op keeps its input for the backward
 
+    def __post_init__(self):
+        missing = sorted(mask_strides(self.ops) - set(self.levels or ()))
+        if missing:
+            raise ConfigurationError(f"masks required: the network reads mask strides {missing}")
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         for op in self.ops:
             if self.keep:
@@ -245,14 +250,11 @@ class Relu(Op):
 
 @dataclass
 class Pool(Op):
-    """The pooling slot: 3x3, stride 2, padding 1, on features at ``feature_stride``."""
+    """The pooling slot: 3x3, stride 2, padding 1.  Mask pooling reads the mask
+    level at the slot's feature stride; max and avg pooling read none."""
 
     variant: str
-    feature_stride: int
-
-    @property
-    def mask_stride(self):
-        return self.feature_stride if self.variant == "mask" else None
+    mask_stride: int | None = None
 
     def forward(self, run: Pass, x):
         if self.variant == "max":
@@ -309,7 +311,7 @@ def build_ops(cfg: ModelConfig, bg_mode: str | None = None) -> list:
         if i == convs_before_pool:
             if bg_mode == "slot":
                 ops.append(BgScale(stride))
-            ops.append(Pool(cfg.pooling_variant, stride))
+            ops.append(Pool(cfg.pooling_variant, stride if cfg.pooling_variant == "mask" else None))
             stride *= 2
             if bg_mode == "all":
                 ops.append(BgScale(stride))
@@ -325,30 +327,21 @@ def mask_strides(ops) -> set:
     return {op.mask_stride for op in ops} - {None}
 
 
-def mask_pyramids(cfg: ModelConfig, masks, bg_weight: float = 1.0,
-                  perturb_all_stages: bool = False) -> list | None:
-    """One pyramid per (h, w) mask at the strides the network reads under this
-    perturbation; None when it reads none."""
+def mask_levels(cfg: ModelConfig, masks, bg_weight: float = 1.0,
+                perturb_all_stages: bool = False) -> dict | None:
+    """The per-stride mask stacks {stride: (n, h', w')} of the (h, w) ``masks``
+    at the strides the network reads under this perturbation; None when it
+    reads none.  Built once per dataset; a batch takes their rows."""
     strides = mask_strides(build_ops(cfg, bg_mode(bg_weight, perturb_all_stages)))
-    return [maskpool.build_pyramid(m, strides) for m in masks] if strides else None
+    return maskpool.build_pyramid(masks, strides) if strides else None
 
 
-def mask_levels(ops, pyramids) -> dict | None:
-    """{stride: (n, h, w) stacked pyramid levels} per stride an op reads, or None."""
-    strides = mask_strides(ops)
-    if not strides:
-        return None
-    if pyramids is None:
-        raise ConfigurationError(f"masks required: the network reads strides {sorted(strides)}")
-    return {s: np.stack([p.at_stride(s) for p in pyramids]) for s in strides}
-
-
-def forward(model: Model, image_batch: np.ndarray, masks=None,
+def forward(model: Model, image_batch: np.ndarray, levels=None,
             bg_weight: float = 1.0, perturb_all_stages: bool = False) -> DetHeadOutput:
-    """Inference forward pass.  ``masks`` is a list of MaskPyramid (one per
-    image) and is required iff the variant is 'mask' or bg_weight != 1."""
+    """Inference forward pass.  ``levels`` are the batch's per-stride mask stacks
+    (see ``mask_levels``), required iff the variant is 'mask' or bg_weight != 1."""
     ops = build_ops(model.cfg, bg_mode(bg_weight, perturb_all_stages))
-    raw = Pass(ops, model, mask_levels(ops, masks), bg_weight).forward(image_batch)
+    raw = Pass(ops, model, levels, bg_weight).forward(image_batch)
     return DetHeadOutput.from_raw(raw, model.cfg.num_classes)
 
 
@@ -498,7 +491,7 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
     images = np.stack([r.image for r in records])
     instances = [r.instances for r in records]
     ops = build_ops(model_cfg)
-    levels = mask_levels(ops, mask_pyramids(model_cfg, [r.fg_mask for r in records]))
+    levels = mask_levels(model_cfg, [r.fg_mask for r in records])
 
     model = build_model(model_cfg, seed)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))

@@ -144,20 +144,22 @@ class EvalResult:
     dets_by_image: dict
 
 
-def evaluate_records(model, records, class_names, pyramids=None,
+def evaluate_records(model, records, class_names, levels=None,
                      bg_weight: float = 1.0, perturb_all_stages: bool = False,
                      hierarchy=None, batch_size: int = 16) -> EvalResult:
-    """Run inference over records and score mAP50 + hierarchical F1."""
+    """Run inference over records and score mAP50 + hierarchical F1.  Each batch
+    reads its rows of ``levels``, the records' per-stride mask stacks (built
+    when not given; see ``detector.mask_levels``)."""
     cfg = model.cfg
-    if pyramids is None:
-        pyramids = detector.mask_pyramids(cfg, [r.fg_mask for r in records],
-                                          bg_weight, perturb_all_stages)
+    if levels is None:
+        levels = detector.mask_levels(cfg, [r.fg_mask for r in records], bg_weight,
+                                      perturb_all_stages)
     dets_by_image = {}
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         x = detector.images_to_tensor(np.stack([r.image for r in chunk]))
-        pys = pyramids[start:start + batch_size] if pyramids is not None else None
-        head = detector.forward(model, x, pys, bg_weight, perturb_all_stages)
+        rows = levels and {s: m[start:start + batch_size] for s, m in levels.items()}
+        head = detector.forward(model, x, rows, bg_weight, perturb_all_stages)
         for rec, dets in zip(chunk, detector.decode(head, cfg)):
             dets_by_image[rec.image_id] = detector.nms(dets, cfg.nms_iou)
     gts_by_image = {r.image_id: r.instances for r in records}
@@ -197,11 +199,11 @@ def run_bg_activation_sweep(ckpt, dataset, sweep: SweepSpec | None = None,
     records, class_names = load_records(dataset)
     # every weight but 1 walks the same op list; w = 1 reads a subset of its levels
     perturbed = next((w for w in sweep.weights if w != 1.0), 1.0)
-    pyramids = detector.mask_pyramids(model.cfg, [r.fg_mask for r in records],
-                                      perturbed, perturb_all_stages)
+    levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records],
+                                  perturbed, perturb_all_stages)
 
     def one(w):
-        r = evaluate_records(model, records, class_names, pyramids=pyramids,
+        r = evaluate_records(model, records, class_names, levels=levels,
                              bg_weight=w, perturb_all_stages=perturb_all_stages)
         return ReportRow(w, r.map50, r.per_class_ap, r.per_class_hf)
 
@@ -220,12 +222,12 @@ def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int =
         raise ConfigurationError("background pool is empty")
     model = _model_of(ckpt)
     records, class_names = load_records(dataset)
-    pyramids = detector.mask_pyramids(model.cfg, [r.fg_mask for r in records])
+    levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records])
 
     def one(rep):
         swapped = [scenegen.composite_random_bg(r, bg_pool, seed ^ rep, feather_radius)
                    for r in records]
-        r = evaluate_records(model, swapped, class_names, pyramids=pyramids)
+        r = evaluate_records(model, swapped, class_names, levels=levels)
         return ReportRow(rep, r.map50, r.per_class_ap, r.per_class_hf)
 
     report = ExperimentReport(model_id, dataset_id, "random_bg",
@@ -243,13 +245,13 @@ def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 
                                  f"{repetitions} repetitions for {len(bg_pool)} backgrounds")
     model = _model_of(ckpt)
     records, class_names = load_records(dataset)
-    pyramids = detector.mask_pyramids(model.cfg, [r.fg_mask for r in records])
+    levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records])
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 11)))
     chosen = [int(i) for i in rng.choice(len(bg_pool), size=repetitions, replace=False)]
 
     def one(bg_index):
         swapped = scenegen.composite_fixed_bg(records, bg_pool[bg_index], feather_radius)
-        r = evaluate_records(model, swapped, class_names, pyramids=pyramids)
+        r = evaluate_records(model, swapped, class_names, levels=levels)
         return ReportRow(bg_index, r.map50, r.per_class_ap, r.per_class_hf)
 
     report = ExperimentReport(model_id, dataset_id, "fixed_bg",
@@ -274,7 +276,7 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
         mode = "dilate" if factor > 1 else "erode"
         perturbed = [maskpool.morph_perturb(r.fg_mask, mode, factor) for r in records]
         r = evaluate_records(model, records, class_names,
-                             pyramids=detector.mask_pyramids(model.cfg, perturbed))
+                             levels=detector.mask_levels(model.cfg, perturbed))
         return ReportRow(float(factor), r.map50, r.per_class_ap, r.per_class_hf)
 
     report.rows.extend(_map_ordered(one, [float(f) for f in factors], threads))

@@ -50,7 +50,7 @@ def _mask_batch(m: Array, n: int, h: int, w: int) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# mask pyramid
+# per-stride mask stacks
 # ---------------------------------------------------------------------------
 
 def downsample_mask(m: Array, factor: int) -> Array:
@@ -62,8 +62,6 @@ def downsample_mask(m: Array, factor: int) -> Array:
     m = as_binary_mask(m)
     if factor < 1:
         raise ConfigurationError(f"downsample factor must be >= 1, got {factor}")
-    if factor == 1:
-        return m.copy()
     h, w = m.shape
     row_idx = np.arange(0, h, factor)
     col_idx = np.arange(0, w, factor)
@@ -74,24 +72,12 @@ def downsample_mask(m: Array, factor: int) -> Array:
     return (2 * fg >= sizes).astype(np.uint8)
 
 
-@dataclass
-class MaskPyramid:
-    """A mask downsampled to each feature stride; level 1 is the source mask."""
-
-    levels: list  # of (stride, mask) pairs, ascending stride
-
-    def at_stride(self, stride: int) -> Array:
-        for s, mask in self.levels:
-            if s == stride:
-                return mask
-        raise ConfigurationError(f"mask pyramid has no level for stride {stride} "
-                                 f"(has {[s for s, _ in self.levels]})")
-
-
-def build_pyramid(mask: Array, strides) -> MaskPyramid:
-    mask = as_binary_mask(mask)
-    wanted = sorted(set(int(s) for s in strides) | {1})
-    return MaskPyramid(levels=[(s, downsample_mask(mask, s)) for s in wanted])
+def build_pyramid(masks, strides) -> dict:
+    """{stride: (n, h', w') uint8}: the (h, w) masks of a dataset, each
+    downsampled to every feature stride by ``downsample_mask`` and stacked."""
+    if not len(masks):
+        raise ConfigurationError("no masks to downsample")
+    return {s: np.stack([downsample_mask(m, s) for m in masks]) for s in sorted(set(strides))}
 
 
 # ---------------------------------------------------------------------------

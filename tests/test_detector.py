@@ -24,8 +24,8 @@ def small_records(n=16, size=64, seed=0):
 def batch_loss(model, records):
     cfg = model.cfg
     x = detector.images_to_tensor(np.stack([r.image for r in records]))
-    pys = detector.mask_pyramids(cfg, [r.fg_mask for r in records])
-    head = detector.forward(model, x, pys)
+    levels = detector.mask_levels(cfg, [r.fg_mask for r in records])
+    head = detector.forward(model, x, levels)
     targets = detector.assign_targets([r.instances for r in records],
                                       cfg.grid_size, cfg.grid_stride)
     loss, _ = detector.compute_loss(head, targets)
@@ -95,9 +95,9 @@ class TestForward:
         seed = 5
         avg = detector.build_model(small_cfg("avg"), seed=seed)
         msk = detector.build_model(small_cfg("mask"), seed=seed)
-        pys = [maskpool.build_pyramid(np.ones((64, 64), np.uint8), {2}) for _ in range(2)]
+        levels = maskpool.build_pyramid([np.ones((64, 64), np.uint8)] * 2, {2})
         ya = detector.forward(avg, x)
-        ym = detector.forward(msk, x, pys)
+        ym = detector.forward(msk, x, levels)
         for attr in ("objectness", "class_logits", "box_reg"):
             assert np.abs(getattr(ya, attr) - getattr(ym, attr)).max() < 1e-5
 
@@ -120,6 +120,15 @@ class TestForward:
         with pytest.raises(ConfigurationError, match="masks required"):
             detector.forward(model, rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
 
+    def test_pass_names_each_missing_mask_stride(self):
+        model = detector.build_model(small_cfg("mask"), seed=3)
+        ops = detector.build_ops(model.cfg, "all")
+        levels = maskpool.build_pyramid([np.ones((64, 64), np.uint8)], {2})
+        with pytest.raises(ConfigurationError, match=r"masks required: .* \[4, 8\]"):
+            detector.Pass(ops, model, levels, 0.5)
+        with pytest.raises(ConfigurationError, match=r"masks required: .* \[2, 4, 8\]"):
+            detector.Pass(ops, model)
+
     def test_bg_weight_requires_masks_for_any_variant(self, rng):
         model = detector.build_model(small_cfg("max"), seed=3)
         with pytest.raises(ConfigurationError, match="masks required"):
@@ -133,15 +142,15 @@ class TestForward:
         head = model.layers["head"]
         head.weights[...] = rng.standard_normal(head.weights.shape)
         x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
-        pys = [maskpool.build_pyramid(np.ones((64, 64), np.uint8), {2, 4, 8}) for _ in range(2)]
-        base = detector.forward(model, x, pys)
+        levels = maskpool.build_pyramid([np.ones((64, 64), np.uint8)] * 2, {2, 4, 8})
+        base = detector.forward(model, x, levels)
         ops = detector.build_ops(model.cfg, "all")
         assert sum(isinstance(op, detector.BgScale) for op in ops) == 5
         for w in (0.0, 0.5, 2.75):
-            out = detector.forward(model, x, pys, bg_weight=w, perturb_all_stages=True)
+            out = detector.forward(model, x, levels, bg_weight=w, perturb_all_stages=True)
             for attr in ("objectness", "class_logits", "box_reg"):
                 assert getattr(out, attr).tobytes() == getattr(base, attr).tobytes()
-            run = detector.Pass(ops, model, detector.mask_levels(ops, pys), w)
+            run = detector.Pass(ops, model, levels, w)
             cur = nn.as_nchw(x)
             for op in ops:
                 nxt = op.forward(run, cur)
@@ -373,7 +382,7 @@ def test_backward_releases_conv_columns(variant):
     cfg = small_cfg(variant)
     ops = detector.build_ops(cfg)
     model = detector.build_model(cfg, seed=1)
-    levels = detector.mask_levels(ops, detector.mask_pyramids(cfg, [r.fg_mask for r in records]))
+    levels = detector.mask_levels(cfg, [r.fg_mask for r in records])
     step = detector.Pass(ops, model, levels, keep=True)
     raw = step.forward(detector.images_to_tensor(np.stack([r.image for r in records])))
     convs = [op for op in ops if isinstance(op, detector.Conv)]
@@ -398,7 +407,7 @@ class TestWholeNetworkGradient:
         stem, *ops = detector.build_ops(cfg)
         assert stem.name == "stem"
         masks = [(rng.random((32, 32)) < 0.4).astype(np.uint8) for _ in range(2)]
-        levels = detector.mask_levels(ops, detector.mask_pyramids(cfg, masks))
+        levels = detector.mask_levels(cfg, masks)
         instances = [[scenegen.Instance(1, (4.0, 6.0, 20.0, 22.0))],
                      [scenegen.Instance(2, (10.0, 3.0, 30.0, 17.0)),
                       scenegen.Instance(0, (1.0, 20.0, 9.0, 31.0))]]

@@ -74,12 +74,12 @@ class TestDownsample:
 
     def test_pyramid_levels(self):
         m = (np.arange(64).reshape(8, 8) % 3 == 0).astype(np.uint8)
-        pyr = maskpool.build_pyramid(m, [2, 4])
-        assert np.array_equal(pyr.at_stride(1), m)
-        assert pyr.at_stride(2).shape == (4, 4)
-        assert pyr.at_stride(4).shape == (2, 2)
-        with pytest.raises(ConfigurationError):
-            pyr.at_stride(16)
+        levels = maskpool.build_pyramid([m, 1 - m, m], [4, 2])
+        assert sorted(levels) == [2, 4]
+        assert levels[2].shape == (3, 4, 4) and levels[4].shape == (3, 2, 2)
+        assert levels[2].dtype == np.uint8
+        assert np.array_equal(levels[2][1], maskpool.downsample_mask(1 - m, 2))
+        assert np.array_equal(levels[4][2], maskpool.downsample_mask(m, 4))
 
 
 class TestForward:

@@ -37,9 +37,9 @@ def batch():
     records = scenegen.generate_dataset(4, 64, seed=8, size_range=(12, 28),
                                         bias=scenegen.BiasSpec.concentrated(3, 4, 0.85))
     x = detector.images_to_tensor(np.stack([r.image for r in records]))
-    pyramids = [maskpool.build_pyramid(r.fg_mask, {2, 4, 8}) for r in records]
-    levels = {s: np.stack([p.at_stride(s) for p in pyramids]) for s in (2, 4, 8)}
-    return records, x, pyramids, levels
+    levels = {s: np.stack([maskpool.downsample_mask(r.fg_mask, s) for r in records])
+              for s in (2, 4, 8)}
+    return records, x, levels
 
 
 def training_pass(model, x, levels, targets):
@@ -54,20 +54,20 @@ def training_pass(model, x, levels, targets):
 @pytest.mark.parametrize("bg_mode", (None, "slot", "all"))
 @pytest.mark.parametrize("variant,placement", COMBOS)
 def test_forward_head_bitwise(batch, variant, placement, bg_mode):
-    _, x, pyramids, levels = batch
+    _, x, levels = batch
     model = make_model(variant, placement)
     w = 1.0 if bg_mode is None else 0.625
     want, _ = ref._run_forward(model, x, levels, w, bg_mode, keep=False)
-    got = detector.forward(model, x, pyramids, w, perturb_all_stages=bg_mode == "all")
+    got = detector.forward(model, x, levels, w, perturb_all_stages=bg_mode == "all")
     assert same_bits(head_tensor(got), want)
     if bg_mode is not None:  # the weight reached the network
-        base = detector.forward(model, x, pyramids)
+        base = detector.forward(model, x, levels)
         assert not same_bits(head_tensor(base), want)
 
 
 @pytest.mark.parametrize("variant,placement", COMBOS)
 def test_training_gradients_bitwise(batch, variant, placement):
-    records, x, _, levels = batch
+    records, x, levels = batch
     cfg = make_model(variant, placement).cfg
     targets = detector.assign_targets([r.instances for r in records], cfg.grid_size, cfg.grid_stride)
     old, new = make_model(variant, placement), make_model(variant, placement)

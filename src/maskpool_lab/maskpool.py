@@ -160,24 +160,13 @@ def bg_scale(x: Array, m: Array, w: float) -> Array:
     return np.where(keep, x, x * x.dtype.type(w))
 
 
-def _dilate8(m: Array) -> Array:
+def _morph_step(m: Array, combine) -> Array:
+    """One unit 3x3 8-connected step of a bool mask: ``combine`` (np.logical_or
+    dilates, np.logical_and erodes) reduces the 9 shifted views of the
+    zero-padded mask."""
     h, w = m.shape
     p = np.pad(m, 1)
-    out = np.zeros_like(m)
-    for di in range(3):
-        for dj in range(3):
-            out |= p[di:di + h, dj:dj + w]
-    return out
-
-
-def _erode8(m: Array) -> Array:
-    h, w = m.shape
-    p = np.pad(m, 1)
-    out = np.ones_like(m)
-    for di in range(3):
-        for dj in range(3):
-            out &= p[di:di + h, dj:dj + w]
-    return out
+    return combine.reduce([p[di:di + h, dj:dj + w] for di in range(3) for dj in range(3)])
 
 
 def morph_perturb(m: Array, mode: str, area_factor: float) -> Array:
@@ -205,9 +194,9 @@ def morph_perturb(m: Array, mode: str, area_factor: float) -> Array:
         return m.copy()
     target = area_factor * area0
     cur = m.astype(bool)
-    step = _dilate8 if mode == "dilate" else _erode8
+    combine = np.logical_or if mode == "dilate" else np.logical_and
     while True:
-        nxt = step(cur)
+        nxt = _morph_step(cur, combine)
         if np.array_equal(nxt, cur):
             return cur.astype(np.uint8)
         cur = nxt

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, experiments, metrics, nn, scenegen
-from .errors import ConfigurationError, ParseError, load_json, write_json
+from .errors import ConfigurationError, ParseError, check_number, load_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +62,12 @@ def _resolve(cfg: dict, args, key: str, default=None, required: bool = False):
     return default
 
 
+def _int(cfg: dict, args, key: str, default=None, minimum=None) -> int:
+    """``_resolve`` of an integer value, required when it has no default."""
+    return check_number(_resolve(cfg, args, key, default, required=default is None), key,
+                        integer=True, minimum=minimum)
+
+
 def _config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -92,7 +98,8 @@ def _bias_from_config(spec, n_classes: int, n_textures: int) -> scenegen.BiasSpe
         if extra:
             raise ConfigurationError(f"unknown bias keys: {sorted(extra)}")
         if "concentration" in spec:
-            return scenegen.BiasSpec.concentrated(n_classes, n_textures, float(spec["concentration"]))
+            p = check_number(spec["concentration"], "bias.concentration")
+            return scenegen.BiasSpec.concentrated(n_classes, n_textures, float(p))
         return scenegen.BiasSpec.uniform(n_classes, n_textures)
     return scenegen.BiasSpec(np.asarray(spec, dtype=np.float64))
 
@@ -108,8 +115,8 @@ def _bg_pool_from_config(spec, image_size: int, seed: int):
     extra = set(gen) - {"n", "seed", "size"}
     if extra:
         raise ConfigurationError(f"unknown bg.generate keys: {sorted(extra)}")
-    return scenegen.generate_bg_pool(int(gen.get("n", 16)), int(gen.get("size", image_size)),
-                                     int(gen.get("seed", seed)))
+    return scenegen.generate_bg_pool(*(check_number(gen.get(k, d), f"bg.generate.{k}", integer=True)
+                                       for k, d in (("n", 16), ("size", image_size), ("seed", seed))))
 
 
 def _checkpoint_ids(ckpt_path, dataset_path):
@@ -126,13 +133,13 @@ def _checkpoint_ids(ckpt_path, dataset_path):
 
 def cmd_gen(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = int(_resolve(cfg, args, "seed", 0))
+    seed = _int(cfg, args, "seed", 0)
     classes = cfg.get("classes", list(scenegen.DEFAULT_CLASSES))
     textures = cfg.get("textures", list(scenegen.DEFAULT_TEXTURES))
     bias = _bias_from_config(cfg.get("bias"), len(classes), len(textures))
     manifest = scenegen.generate_dataset(
-        n_images=int(_resolve(cfg, args, "n_images", required=True)),
-        image_size=int(cfg.get("image_size", 128)),
+        n_images=_int(cfg, args, "n_images"),
+        image_size=_int(cfg, args, "image_size", 128),
         classes=tuple(classes), textures=tuple(textures), bias=bias,
         objects_per_image=tuple(cfg.get("objects_per_image", (1, 4))),
         seed=seed, out_dir=out,
@@ -144,17 +151,17 @@ def cmd_gen(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = int(_resolve(cfg, args, "seed", 0))
+    seed = _int(cfg, args, "seed", 0)
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
     model_cfg = detector.ModelConfig.from_dict(cfg.get("model", {}))
     opt_raw = cfg.get("optimizer", {})
     unknown = set(opt_raw) - _OPTIMIZER_KEYS
     if unknown:
         raise ConfigurationError(f"unknown optimizer keys: {sorted(unknown)}")
-    opt_cfg = nn.OptimizerConfig(**opt_raw)
+    opt_cfg = nn.OptimizerConfig(**{k: check_number(v, f"optimizer.{k}") for k, v in opt_raw.items()})
     ckpt = detector.train(dataset, model_cfg, opt_cfg,
-                          iterations=int(cfg.get("iterations", 3000)),
-                          batch_size=int(cfg.get("batch_size", 8)),
+                          iterations=_int(cfg, args, "iterations", 3000, minimum=0),
+                          batch_size=_int(cfg, args, "batch_size", 8, minimum=1),
                           seed=seed)
     ckpt_path = out / "checkpoint.mplb"
     detector.save_checkpoint(ckpt, ckpt_path)
@@ -165,7 +172,7 @@ def cmd_train(cfg: dict, args) -> int:
 
 def cmd_eval(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = int(_resolve(cfg, args, "seed", 0))
+    seed = _int(cfg, args, "seed", 0)
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
     ckpt = detector.load_checkpoint(_resolve(cfg, args, "checkpoint", required=True))
     model = detector.model_from_checkpoint(ckpt)
@@ -186,13 +193,13 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_swap_bg(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = int(_resolve(cfg, args, "seed", 0))
+    seed = _int(cfg, args, "seed", 0)
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
     records, class_names = experiments.load_records(dataset)
     image_size = records[0].image.shape[0] if records else 128
     pool = _bg_pool_from_config(cfg.get("bg"), image_size, seed)
     mode = cfg.get("mode", "random")
-    feather = int(cfg.get("feather_radius", 0))
+    feather = _int(cfg, args, "feather_radius", 0)
     if mode == "random":
         swapped = [scenegen.composite_random_bg(r, pool, seed, feather) for r in records]
     elif mode == "fixed":
@@ -209,12 +216,12 @@ def cmd_swap_bg(cfg: dict, args) -> int:
 
 def cmd_perturb(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = int(_resolve(cfg, args, "seed", 0))
+    seed = _int(cfg, args, "seed", 0)
     dataset_path = _resolve(cfg, args, "dataset", required=True)
     ckpt_path = _resolve(cfg, args, "checkpoint", required=True)
     dataset = scenegen.load_dataset(dataset_path)
     ckpt = detector.load_checkpoint(ckpt_path)
-    sweep = experiments.SweepSpec(tuple(cfg["weights"])) if "weights" in cfg else None
+    sweep = experiments.SweepSpec(cfg["weights"]) if "weights" in cfg else None
     model_id, dataset_id = _checkpoint_ids(ckpt_path, dataset_path)
     report = experiments.run_bg_activation_sweep(
         ckpt, dataset, sweep, bool(cfg.get("perturb_all_stages", False)),
@@ -229,14 +236,14 @@ def cmd_perturb(cfg: dict, args) -> int:
 
 def cmd_ablate(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = int(_resolve(cfg, args, "seed", 0))
+    seed = _int(cfg, args, "seed", 0)
     dataset_path = _resolve(cfg, args, "dataset", required=True)
     ckpt_path = _resolve(cfg, args, "checkpoint", required=True)
     dataset = scenegen.load_dataset(dataset_path)
     ckpt = detector.load_checkpoint(ckpt_path)
     model_id, dataset_id = _checkpoint_ids(ckpt_path, dataset_path)
     report = experiments.run_boundary_ablation(
-        ckpt, dataset, tuple(cfg.get("factors", experiments.DEFAULT_MORPH_FACTORS)),
+        ckpt, dataset, cfg.get("factors", experiments.DEFAULT_MORPH_FACTORS),
         threads=args.threads, model_id=model_id, dataset_id=dataset_id)
     report.write_json(out / "ablation.json")
     report.write_csv(out / "ablation.csv")
@@ -246,10 +253,10 @@ def cmd_ablate(cfg: dict, args) -> int:
 
 def cmd_report(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = int(_resolve(cfg, args, "seed", 0))
+    seed = _int(cfg, args, "seed", 0)
     paths = cfg.get("reports", [])
-    if not paths:
-        raise ConfigurationError("report command needs a non-empty 'reports' list")
+    if not (paths and isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+        raise ConfigurationError(f"report command needs a non-empty 'reports' list of paths, got {paths!r}")
     reports = [experiments.ExperimentReport.read_json(p) for p in paths]
     summary = {"schema": 1, "reports": []}
     for p, rep in zip(paths, reports):

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, the JSON file reader that raises
-them, and the one JSON file writer."""
+"""Exception types shared across the package, the JSON file reader and the
+config number checks that raise them, and the one JSON file writer."""
 
 import json
+import math
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -44,6 +46,25 @@ def load_json(path, missing: str):
         raise ParseError(path, e.start, "not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise ParseError(path, len(e.doc[:e.pos].encode()), e.msg) from None
+
+
+def check_number(value, key: str, integer: bool = False, minimum=None):
+    """``value`` if it is a finite number (an integer when ``integer``) of at least ``minimum``;
+    anything else, a bool or a numeric string included, raises ConfigurationError naming ``key``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (integer or math.isfinite(value)) or (minimum is not None and value < minimum)):
+        what = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{key} must be {what}{'' if minimum is None else f' >= {minimum}'}, "
+                                 f"got {value!r}")
+    return value
+
+
+def check_numbers(values, key: str) -> tuple:
+    """``values``, a list of finite numbers, as a tuple; else ConfigurationError naming ``key``."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(check_number(v, f"{key} entry") for v in values)
 
 
 def write_json(path, doc) -> None:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, maskpool, metrics, nn, scenegen
-from .errors import ConfigurationError, load_json, write_json
+from .errors import ConfigurationError, check_numbers, load_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +35,7 @@ class SweepSpec:
     weights: tuple = DEFAULT_SWEEP_WEIGHTS
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
+        w = tuple(float(v) for v in check_numbers(self.weights, "sweep weights"))
         if not w:
             raise ConfigurationError("sweep needs at least one weight")
         if any(b <= a for a, b in zip(w, w[1:])):
@@ -147,9 +147,8 @@ class EvalResult:
 def evaluate_records(model, records, class_names, levels=None,
                      bg_weight: float = 1.0, perturb_all_stages: bool = False,
                      hierarchy=None, batch_size: int = 16) -> EvalResult:
-    """Run inference over records and score mAP50 + hierarchical F1.  Each batch
-    reads its rows of ``levels``, the records' per-stride mask stacks (built
-    when not given; see ``detector.mask_levels``)."""
+    """Run inference over records and score mAP50 + hierarchical F1.  Each batch reads its
+    rows of ``levels``, the records' per-stride mask stacks (``detector.mask_levels``)."""
     cfg = model.cfg
     if levels is None:
         levels = detector.mask_levels(cfg, [r.fg_mask for r in records], bg_weight,
@@ -264,6 +263,7 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
                           model_id: str = "model", dataset_id: str = "dataset") -> ExperimentReport:
     """Feed the mask-pooling model morphologically perturbed masks (ground truth
     unchanged) and score per factor; mask-variant checkpoints only."""
+    factors = [float(f) for f in check_numbers(factors, "factors")]
     model = _model_of(ckpt)
     if model.cfg.pooling_variant != "mask":
         raise ConfigurationError("boundary ablation applies to the mask pooling variant only")
@@ -279,7 +279,7 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
                              levels=detector.mask_levels(model.cfg, perturbed))
         return ReportRow(float(factor), r.map50, r.per_class_ap, r.per_class_hf)
 
-    report.rows.extend(_map_ordered(one, [float(f) for f in factors], threads))
+    report.rows.extend(_map_ordered(one, factors, threads))
     return report
 
 

@@ -26,6 +26,17 @@ def gen_config(tmp_path, out, n_images=6, image_size=64, **kw):
                         size_range=[12, 28], seed=5, out=str(out), **kw)
 
 
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A 2-image dataset and an untrained 64 px mask checkpoint."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert cli.main(["gen", "--config", gen_config(root, root / "data", n_images=2)]) == 0
+    cfg = detector.ModelConfig(pooling_variant="mask", image_size=64, channels=(8, 16, 24, 24))
+    ckpt = detector.checkpoint_from_model(detector.build_model(cfg, seed=1), seed=1, iterations=0)
+    detector.save_checkpoint(ckpt, root / "mask.mplb")
+    return root / "data", root / "mask.mplb"
+
+
 class TestConfigHandling:
     def test_missing_schema_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -151,6 +162,36 @@ class TestConfigHandling:
         assert cli.main(["train", "--config", cfg]) == 1
         assert next(iter(model)) in capsys.readouterr().err
         assert not (out / "checkpoint.mplb").exists()
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("perturb", {"weights": 5}, "weights"),
+        ("perturb", {"weights": ["a"]}, "weights"),
+        ("perturb", {"weights": [0.5, float("nan")]}, "weights"),
+        ("ablate", {"factors": ["x"]}, "factors"),
+        ("ablate", {"factors": 3}, "factors"),
+        ("train", {"iterations": "abc"}, "iterations"),
+        ("train", {"iterations": -1}, "iterations"),
+        ("train", {"batch_size": 0}, "batch_size"),
+        ("train", {"optimizer": {"learning_rate": "x"}}, "optimizer.learning_rate"),
+        ("gen", {"n_images": "x"}, "n_images"),
+        ("gen", {"bias": {"concentration": "x"}}, "bias.concentration"),
+        ("swap-bg", {"feather_radius": "x"}, "feather_radius"),
+        ("swap-bg", {"bg": {"generate": {"n": "x"}}}, "bg.generate.n"),
+        ("eval", {"seed": "x"}, "seed"),
+        ("report", {"reports": "abc"}, "reports"),
+    ])
+    def test_mistyped_config_value_exit_1(self, tiny, tmp_path, capsys, command, cfg, key):
+        data, ckpt = (str(p) for p in tiny)
+        base = {"gen": {"n_images": 2, "image_size": 64},
+                "train": {"dataset": data, "iterations": 1,
+                          "model": {"image_size": 64, "channels": [8, 16, 24, 24]}},
+                "swap-bg": {"dataset": data}, "report": {}}.get(
+                    command, {"dataset": data, "checkpoint": ckpt})
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.json", **{**base, **cfg, "out": str(out)})
+        assert cli.main([command, "--config", path]) == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "run.json").exists()
 
 
 class TestGen:

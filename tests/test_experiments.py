@@ -78,6 +78,10 @@ class TestSweep:
             experiments.SweepSpec(())
         with pytest.raises(ConfigurationError):
             experiments.SweepSpec((1.0, 0.5))
+        # a NaN weight would be written into the report as its row label
+        for weights in ((0.5, float("nan")), (float("-inf"), 0.5)):
+            with pytest.raises(ConfigurationError, match="sweep weights entry must be a finite number"):
+                experiments.SweepSpec(weights)
 
     def test_threads_do_not_change_results(self, world):
         records, names, ckpt_max, _ = world

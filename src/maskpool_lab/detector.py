@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import maskpool, nn
-from .errors import ConfigurationError, ParseError, TrainingDiverged
+from .errors import ConfigurationError, ParseError, TrainingDiverged, check_number
 from .metrics import iou_matrix
 
 log = logging.getLogger(__name__)
@@ -53,9 +53,7 @@ class ModelConfig:
             raise ConfigurationError(f"channels must be a list of integers, got {self.channels!r}")
         for name, v in (("image_size", self.image_size), ("grid_stride", self.grid_stride),
                         ("num_classes", self.num_classes), *(("channels entry", c) for c in self.channels)):
-            # bool is Integral too; a string or float would end in a TypeError further on
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {v!r}")
+            check_number(v, name, integer=True)  # a string or float would end in a TypeError further on
         self.channels = tuple(int(c) for c in self.channels)
         if self.pooling_variant not in POOLING_VARIANTS:
             raise ConfigurationError(f"pooling_variant must be one of {POOLING_VARIANTS}")
@@ -250,8 +248,7 @@ class Relu(Op):
 
 @dataclass
 class Pool(Op):
-    """The pooling slot: 3x3, stride 2, padding 1.  Mask pooling reads the mask
-    level at the slot's feature stride; max and avg pooling read none."""
+    """The pooling slot: 3x3, stride 2, padding 1; mask pooling reads masks at ``mask_stride``."""
 
     variant: str
     mask_stride: int | None = None
@@ -329,9 +326,8 @@ def mask_strides(ops) -> set:
 
 def mask_levels(cfg: ModelConfig, masks, bg_weight: float = 1.0,
                 perturb_all_stages: bool = False) -> dict | None:
-    """The per-stride mask stacks {stride: (n, h', w')} of the (h, w) ``masks``
-    at the strides the network reads under this perturbation; None when it
-    reads none.  Built once per dataset; a batch takes their rows."""
+    """The per-stride mask stacks {stride: (n, h', w')} of the (h, w) ``masks`` at
+    the strides the network reads under this perturbation; None when it reads none."""
     strides = mask_strides(build_ops(cfg, bg_mode(bg_weight, perturb_all_stages)))
     return maskpool.build_pyramid(masks, strides) if strides else None
 
@@ -617,8 +613,8 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(blob)
         cfg = ModelConfig.from_dict(meta["model"])
         seed, iterations = int(meta["seed"]), int(meta["iterations"])
-    except ConfigurationError:
-        raise
+    except ConfigurationError as e:  # a well-formed header holding a bad model config
+        raise ConfigurationError(f"{path}: {e}") from None
     except (ValueError, KeyError, TypeError) as e:  # JSON, UTF-8, missing or mistyped fields
         raise ParseError(path, pos - len(blob), f"bad header: {e}") from e
     tensors = {}
@@ -629,6 +625,8 @@ def load_checkpoint(path) -> Checkpoint:
         except UnicodeDecodeError as e:
             raise ParseError(path, name_at, f"tensor name is not UTF-8: {e}") from e
         shape = struct.unpack("<4I", take(16, f"tensor {name} shape"))
+        if not all(shape):  # numpy cannot shape an empty tensor whose other dims are huge
+            raise ParseError(path, pos - 16, f"tensor {name} has a zero dimension {shape}")
         data_at = pos
         arr = np.frombuffer(take(4 * math.prod(shape), f"tensor {name} data"), dtype="<f4")
         bad = np.flatnonzero(~np.isfinite(arr))

@@ -118,12 +118,15 @@ class DatasetManifest:
         entry = self.images[index]
         image = read_ppm(self.root / entry["file"])
         mask = read_mask_pgm(self.root / entry["mask_file"])
-        if image.shape[:2] != (entry["height"], entry["width"]):
-            raise ConfigurationError(f"{entry['file']}: pixel size differs from manifest entry")
-        instances = [Instance(int(i["class_id"]), tuple(i["bbox"]), i.get("texture_id"))
-                     for i in entry["instances"]]
-        rec = ImageRecord(entry["id"], image, mask, instances)
-        rec.validate()
+        try:  # an entry that disagrees with its files
+            if image.shape[:2] != (entry["height"], entry["width"]):
+                raise ConfigurationError(f"{entry['file']}: pixel size differs from manifest entry")
+            instances = [Instance(int(i["class_id"]), tuple(i["bbox"]), i.get("texture_id"))
+                         for i in entry["instances"]]
+            rec = ImageRecord(entry["id"], image, mask, instances)
+            rec.validate()
+        except ConfigurationError as e:
+            raise ConfigurationError(f"dataset {self.root}: image {entry['id']!r}: {e}") from None
         return rec
 
     def load_all(self) -> list:

@@ -1,6 +1,8 @@
 """Detector tests: construction, pooling-slot behavior, target assignment,
 decoding, training determinism and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -532,6 +534,30 @@ class TestCheckpoint:
             detector.load_checkpoint(path)
         bad = np.frombuffer(path.read_bytes()[err.value.offset:err.value.offset + 4], "<f4")[0]
         assert np.array_equal(bad, np.float32(value), equal_nan=True)
+
+    def test_zero_dimension_raises_parse_error_at_the_shape(self, tmp_path):
+        model = detector.build_model(small_cfg("max", channels=(2, 2, 2, 2)), seed=1)
+        path = tmp_path / "ck.mplb"
+        detector.save_checkpoint(detector.checkpoint_from_model(model, seed=1, iterations=0), path)
+        data = path.read_bytes()
+        # magic, version, header length, header, tensor count, then the first name's length
+        name_at = 16 + struct.unpack("<I", data[8:12])[0]
+        shape_at = name_at + 4 + struct.unpack("<I", data[name_at:name_at + 4])[0]
+        # an empty tensor whose other dimensions numpy cannot even shape
+        path.write_bytes(data[:shape_at] + struct.pack("<4I", 0, 2**31, 2**31, 2**31) + data[shape_at + 16:])
+        with pytest.raises(ParseError, match="zero dimension") as err:
+            detector.load_checkpoint(path)
+        assert err.value.path == str(path) and err.value.offset == shape_at
+
+    def test_bad_header_model_config_names_the_file(self, tmp_path):
+        model = detector.build_model(small_cfg("max", channels=(2, 2, 2, 2)), seed=1)
+        ckpt = detector.checkpoint_from_model(model, seed=1, iterations=0)
+        ckpt.config.pooling_variant = "median"  # bypasses __post_init__, as a foreign writer could
+        path = tmp_path / "ck.mplb"
+        detector.save_checkpoint(ckpt, path)
+        with pytest.raises(ConfigurationError) as err:
+            detector.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: pooling_variant must be one of")
 
     def test_header_thresholds_validated(self, tmp_path):
         model = detector.build_model(small_cfg("max", channels=(2, 2, 2, 2)), seed=1)

@@ -149,6 +149,19 @@ class TestManifestIO:
         with pytest.raises(ConfigurationError, match="duplicate"):
             scenegen.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("entry, error", [({"width": 65}, "pixel size differs"),
+                                              ({"instances": [{"class_id": 0, "bbox": [1, 1, 90, 9]}]},
+                                               "outside 64x64 image")])
+    def test_entry_disagreeing_with_its_files_names_dataset_and_image(self, tmp_path, entry, error):
+        scenegen.generate_dataset(1, 64, seed=1, out_dir=tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["images"][0].update(entry)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError) as e:
+            scenegen.load_dataset(tmp_path).load_all()
+        assert f"dataset {tmp_path}: image {doc['images'][0]['id']!r}:" in str(e.value)
+        assert error in str(e.value)
+
     @pytest.mark.parametrize("case", ["entry without id", "instance without class_id",
                                       "non-numeric bbox", "instances not a list",
                                       "images not a list"])

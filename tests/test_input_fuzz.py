@@ -51,10 +51,10 @@ def test_every_truncation_is_a_located_error(files, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=400)
-@given(draw=st.data())
-def test_flipped_bytes_read_or_raise_a_located_error(files, kind, draw):
+@given(data=st.data())
+def test_flipped_bytes_read_or_raise_a_located_error(files, kind, data):
     valid = bytearray(files[kind][0])
-    flips = draw.draw(st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)),
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)),
                                min_size=1, max_size=4))
     for at, bits in flips:
         valid[at] ^= bits

@@ -1,7 +1,8 @@
 """sha256 pins of the artifacts of one small fixed run, all through the CLI: gen,
 a 60-step mask training at 64 px, eval, a two-weight activation sweep at the
 pooling slot and at every stage, a boundary ablation, and a 60-step mask
-training with the pooling slot after stage1 plus its eval.
+training with the pooling slot after stage1 plus its eval and a three-weight
+sweep (w = 1 included) at its slot and at every stage.
 
 Any change to training, inference, decode, NMS or scoring that moves a bit
 moves one of these digests.  Between them the runs read mask levels at
@@ -34,6 +35,12 @@ BLOCK1_PINS = {
     "train_block1/checkpoint.mplb": "cf1603f242c5742d98351a51d6af37bccb9831486dbc53089a6be411faf192f6",
     "eval_block1/eval.json": "a670b10a6631a3304b9fa705bf8d801c7c8fcc56fce4ca9b8cae4bf543456a12",
     "eval_block1/detections.json": "70d5738f63fb7d1bf903586fc3da25b8b505c9fd092e9117db9e0bf6efc35f90",
+}
+BLOCK1_SWEEP_PINS = {
+    "sweep_block1/sweep.json": "3935c72bb76d7ee25ae8ed36bef9db9619743ed6b84d11ec04ff7b74e67472f8",
+    "sweep_block1/sweep.csv": "dfcb1bad376679d2dca0e858a9ce6d2c1fefbfd3bd7ddefad05cced1dd5e4d43",
+    "sweep_block1_all/sweep.json": "ccbe0bc3e6c92c274aa562ee6d50be42a0d74148d5fb20b9eedbe2bfd62466e0",
+    "sweep_block1_all/sweep.csv": "c2e58f908c5196b65251883c0af7686257e0452f65e48d6bd1ac009ad0917aea",
 }
 MODEL = {"pooling_variant": "mask", "image_size": 64, "channels": [8, 16, 24, 24]}
 
@@ -77,13 +84,31 @@ def test_every_stage_sweep_and_ablation_match_pins(trained):
     assert digests(trained, MASK_INPUT_PINS) == MASK_INPUT_PINS
 
 
-def test_post_block1_training_matches_pins(trained):
+@pytest.fixture(scope="module")
+def trained_block1(trained):
+    """The post_block1 mask checkpoint, trained on the same data; returns the run root."""
+    run(trained, "train", dataset=str(trained / "data"), iterations=60, batch_size=8, seed=3,
+        model={**MODEL, "pool_placement": "post_block1"}, out=str(trained / "train_block1"))
+    return trained
+
+
+def test_post_block1_training_matches_pins(trained_block1):
     """The pooling slot after stage1 pools stage1's features; stage1 keeps
     stride 2, so the slot still reads the stride-2 mask level."""
-    data = str(trained / "data")
-    run(trained, "train", dataset=data, iterations=60, batch_size=8, seed=3,
-        model={**MODEL, "pool_placement": "post_block1"}, out=str(trained / "train_block1"))
-    run(trained, "eval", dataset=data, checkpoint=str(trained / "train_block1" / "checkpoint.mplb"),
-        out=str(trained / "eval_block1"))
-    assert len(json.loads((trained / "eval_block1" / "detections.json").read_text())) > 0
-    assert digests(trained, BLOCK1_PINS) == BLOCK1_PINS
+    root = trained_block1
+    run(root, "eval", dataset=str(root / "data"),
+        checkpoint=str(root / "train_block1" / "checkpoint.mplb"), out=str(root / "eval_block1"))
+    assert len(json.loads((root / "eval_block1" / "detections.json").read_text())) > 0
+    assert digests(root, BLOCK1_PINS) == BLOCK1_PINS
+
+
+def test_post_block1_sweep_matches_pins(trained_block1):
+    """At post_block1 the layers before the slot are stem and stage1; the w = 1
+    row runs beside perturbed rows at the slot and at every stage."""
+    root = trained_block1
+    data, ckpt = str(root / "data"), str(root / "train_block1" / "checkpoint.mplb")
+    run(root, "perturb", dataset=data, checkpoint=ckpt, weights=[0.5, 1.0, 2.0],
+        out=str(root / "sweep_block1"))
+    run(root, "perturb", dataset=data, checkpoint=ckpt, weights=[0.5, 1.0, 2.0],
+        perturb_all_stages=True, out=str(root / "sweep_block1_all"))
+    assert digests(root, BLOCK1_SWEEP_PINS) == BLOCK1_SWEEP_PINS

@@ -254,20 +254,22 @@ class Pool(Op):
     mask_stride: int | None = None
 
     def forward(self, run: Pass, x):
-        if self.variant == "max":
-            y, self.argmax = nn.maxpool2d_forward(x, 3, 2, 1)
-            return y
         if self.variant == "avg":
             return nn.avgpool2d_forward(x, 3, 2, 1)
-        y, self.record = maskpool.maskpool2d_forward(x, run.levels[self.mask_stride], 3, 2, 1)
+        if self.variant == "max":
+            y, saved = nn.maxpool2d_forward(x, 3, 2, 1)
+        else:
+            y, saved = maskpool.maskpool2d_forward(x, run.levels[self.mask_stride], 3, 2, 1)
+        if run.keep:  # the argmax or MaskPoolRecord is the backward's; inference keeps nothing
+            self.saved = saved
         return y
 
     def backward(self, run: Pass, grad):
         if self.variant == "max":
-            return nn.maxpool2d_backward(self.x, self.argmax, grad, 3, 2, 1)
+            return nn.maxpool2d_backward(self.x, self.saved, grad, 3, 2, 1)
         if self.variant == "avg":
             return nn.avgpool2d_backward(self.x, grad, 3, 2, 1)
-        return maskpool.maskpool2d_backward(self.x, run.levels[self.mask_stride], grad, self.record)
+        return maskpool.maskpool2d_backward(self.x, run.levels[self.mask_stride], grad, self.saved)
 
     def cost(self, model, c, size):
         # avg and mask pooling: one add per valid window pixel plus one

@@ -393,6 +393,19 @@ def test_backward_releases_conv_columns(variant):
     assert not [op for op in convs if hasattr(op, "cols")]
 
 
+@pytest.mark.parametrize("variant", detector.POOLING_VARIANTS)
+def test_inference_pass_keeps_nothing(variant):
+    """Only a training walk keeps inputs, conv columns and pooling argmax or records."""
+    records = small_records(2)
+    cfg = small_cfg(variant)
+    ops = detector.build_ops(cfg, "slot")
+    levels = detector.mask_levels(cfg, [r.fg_mask for r in records], 0.5)
+    x = detector.images_to_tensor(np.stack([r.image for r in records]))
+    detector.Pass(ops, detector.build_model(cfg, seed=1), levels, 0.5).forward(x)
+    fields = {"name", "stride", "padding", "variant", "mask_stride"}  # the ops' definitions
+    assert not [op for op in ops if set(vars(op)) - fields]
+
+
 class TestWholeNetworkGradient:
     """Central differences through every op after the stem conv down to
     compute_loss, in float64: each pooling backward, the stride-2 and stride-1

@@ -147,28 +147,50 @@ class EvalResult:
 def evaluate_records(model, records, class_names, levels=None,
                      bg_weight: float = 1.0, perturb_all_stages: bool = False,
                      hierarchy=None, batch_size: int = 16) -> EvalResult:
-    """Run inference over records and score mAP50 + hierarchical F1.  Each batch reads its
-    rows of ``levels``, the records' per-stride mask stacks (``detector.mask_levels``)."""
-    cfg = model.cfg
+    """Run inference over records and score mAP50 + hierarchical F1: the one-setting
+    case of ``evaluate_settings``.  ``levels`` default to the records' own masks."""
     if levels is None:
-        levels = detector.mask_levels(cfg, [r.fg_mask for r in records], bg_weight,
+        levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records], bg_weight,
                                       perturb_all_stages)
-    dets_by_image = {}
+    return evaluate_settings(model, records, class_names,
+                             [(levels, bg_weight, perturb_all_stages)], hierarchy, batch_size)[0]
+
+
+def evaluate_settings(model, records, class_names, settings, hierarchy=None,
+                      batch_size: int = 16, threads: int = 1) -> list:
+    """One EvalResult per setting ``(levels, bg_weight, perturb_all_stages)`` from one pass
+    over the batches; each batch reads its rows of ``levels`` (``detector.mask_levels``).
+    Every setting's op list starts with the same Conv/Relu ops before its first mask
+    reader, so a batch runs them once and ``threads`` settings at a time go on from there:
+    bit for bit a walk per setting only because no op writes to its input."""
+    cfg = model.cfg
+    op_lists = [detector.build_ops(cfg, detector.bg_mode(w, every)) for _, w, every in settings]
+    split = min(next((i for i, op in enumerate(ops) if op.mask_stride is not None), len(ops))
+                for ops in op_lists)
+    dets = [{} for _ in settings]
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         x = detector.images_to_tensor(np.stack([r.image for r in chunk]))
-        rows = levels and {s: m[start:start + batch_size] for s, m in levels.items()}
-        head = detector.forward(model, x, rows, bg_weight, perturb_all_stages)
-        for rec, dets in zip(chunk, detector.decode(head, cfg)):
-            dets_by_image[rec.image_id] = detector.nms(dets, cfg.nms_iou)
+        x = detector.Pass(op_lists[0][:split], model).forward(x)
+
+        def finish(k):
+            levels, w, _ = settings[k]
+            rows = levels and {s: m[start:start + batch_size] for s, m in levels.items()}
+            raw = detector.Pass(op_lists[k][split:], model, rows, w).forward(x)
+            head = detector.DetHeadOutput.from_raw(raw, cfg.num_classes)
+            for rec, d in zip(chunk, detector.decode(head, cfg)):
+                dets[k][rec.image_id] = detector.nms(d, cfg.nms_iou)
+
+        _map_ordered(finish, range(len(settings)), threads)
     gts_by_image = {r.image_id: r.instances for r in records}
-    m, per_class = metrics.map50(dets_by_image, gts_by_image, len(class_names))
-    per_class_ap = {class_names[c]: v for c, v in per_class.items()}
     hierarchy = hierarchy or metrics.hierarchy_for(class_names)
-    hf = metrics.hierarchical_f1(dets_by_image, gts_by_image, hierarchy,
-                                 class_names=class_names)
-    return EvalResult(map50=m, per_class_ap=per_class_ap, per_class_hf=hf,
-                      dets_by_image=dets_by_image)
+
+    def score(dets_by_image):
+        m, per_class = metrics.map50(dets_by_image, gts_by_image, len(class_names))
+        hf = metrics.hierarchical_f1(dets_by_image, gts_by_image, hierarchy, class_names=class_names)
+        return EvalResult(m, {class_names[c]: v for c, v in per_class.items()}, hf, dets_by_image)
+
+    return _map_ordered(score, dets, threads)
 
 
 def _model_of(ckpt_or_model):
@@ -200,14 +222,12 @@ def run_bg_activation_sweep(ckpt, dataset, sweep: SweepSpec | None = None,
     perturbed = next((w for w in sweep.weights if w != 1.0), 1.0)
     levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records],
                                   perturbed, perturb_all_stages)
-
-    def one(w):
-        r = evaluate_records(model, records, class_names, levels=levels,
-                             bg_weight=w, perturb_all_stages=perturb_all_stages)
-        return ReportRow(w, r.map50, r.per_class_ap, r.per_class_hf)
-
+    results = evaluate_settings(model, records, class_names,
+                                [(levels, w, perturb_all_stages) for w in sweep.weights],
+                                threads=threads)
     report = ExperimentReport(model_id, dataset_id, "bg_activation_sweep")
-    report.rows = _map_ordered(one, sweep.weights, threads)
+    report.rows = [ReportRow(w, r.map50, r.per_class_ap, r.per_class_hf)
+                   for w, r in zip(sweep.weights, results)]
     return report
 
 
@@ -268,18 +288,15 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
     if model.cfg.pooling_variant != "mask":
         raise ConfigurationError("boundary ablation applies to the mask pooling variant only")
     records, class_names = load_records(dataset)
+    masks = [r.fg_mask for r in records]
+    settings = [(detector.mask_levels(model.cfg, masks), 1.0, False)]
+    for f in factors:
+        perturbed = [maskpool.morph_perturb(m, "dilate" if f > 1 else "erode", f) for m in masks]
+        settings.append((detector.mask_levels(model.cfg, perturbed), 1.0, False))
+    results = evaluate_settings(model, records, class_names, settings, threads=threads)
     report = ExperimentReport(model_id, dataset_id, "boundary_ablation")
-    base = evaluate_records(model, records, class_names)
-    report.rows.append(ReportRow("baseline", base.map50, base.per_class_ap, base.per_class_hf))
-
-    def one(factor):
-        mode = "dilate" if factor > 1 else "erode"
-        perturbed = [maskpool.morph_perturb(r.fg_mask, mode, factor) for r in records]
-        r = evaluate_records(model, records, class_names,
-                             levels=detector.mask_levels(model.cfg, perturbed))
-        return ReportRow(float(factor), r.map50, r.per_class_ap, r.per_class_hf)
-
-    report.rows.extend(_map_ordered(one, factors, threads))
+    report.rows = [ReportRow(label, r.map50, r.per_class_ap, r.per_class_hf)
+                   for label, r in zip(["baseline", *factors], results)]
     return report
 
 

@@ -42,6 +42,22 @@ class TestEvaluate:
             assert np.array_equal(r.image, img) and np.array_equal(r.fg_mask, m)
 
 
+class TestEvaluateSettings:
+    @pytest.mark.parametrize("variant", ("max", "mask"))
+    def test_each_setting_equals_its_own_evaluation(self, world, variant):
+        """The shared layers before the first mask reader change no result, with a
+        w = 1 setting (no mask reader at all for max) beside slot and all-stage ones."""
+        records, names, ckpt_max, ckpt_mask = world
+        model = detector.model_from_checkpoint(ckpt_max if variant == "max" else ckpt_mask)
+        masks = [r.fg_mask for r in records]
+        settings = [(detector.mask_levels(model.cfg, masks, w, every), w, every)
+                    for w, every in ((1.0, False), (0.5, False), (2.0, True))]
+        results = experiments.evaluate_settings(model, records, names, settings, batch_size=4)
+        for (levels, w, every), got in zip(settings, results):
+            want = experiments.evaluate_records(model, records, names, None, w, every, batch_size=4)
+            assert got == want
+
+
 class TestSweep:
     def test_identity_weight_reproduces_baseline_bitwise(self, world):
         records, names, ckpt_max, _ = world
@@ -197,6 +213,12 @@ class TestAblation:
         records, _, _, ckpt_mask = world
         rep = experiments.run_boundary_ablation(ckpt_mask, records, factors=(0.9, 1.1))
         assert [r.repetition for r in rep.rows] == ["baseline", 0.9, 1.1]
+
+    def test_threads_do_not_change_results(self, world):
+        records, _, _, ckpt_mask = world
+        a = experiments.run_boundary_ablation(ckpt_mask, records, factors=(0.9, 1.1), threads=1)
+        b = experiments.run_boundary_ablation(ckpt_mask, records, factors=(0.9, 1.1), threads=2)
+        assert a.to_dict() == b.to_dict()
 
     def test_factor_one_rejected(self, world):
         records, _, _, ckpt_mask = world

@@ -486,6 +486,8 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
           log_every: int = 50) -> Checkpoint:
     """Deterministic SGD training; ``dataset`` is a DatasetManifest or a list
     of ImageRecord.  Returns a checkpoint after ``iterations`` steps."""
+    check_number(iterations, "iterations", integer=True, minimum=0)
+    check_number(batch_size, "batch_size", integer=True, minimum=1)
     records = dataset.load_all() if hasattr(dataset, "load_all") else list(dataset)
     if not records:
         raise ConfigurationError("training dataset is empty")

@@ -316,6 +316,15 @@ class TestTrain:
             detector.train(records, cfg, nn.OptimizerConfig(learning_rate=1e8),
                            iterations=50, seed=1)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("batch_size", 0, "batch_size must be an integer >= 1, got 0"),
+        ("iterations", -1, "iterations must be an integer >= 0, got -1"),
+        ("batch_size", 2.0, "batch_size must be an integer >= 1, got 2.0")])
+    def test_bad_step_arguments_named(self, key, value, message):
+        args = {"iterations": 1, "batch_size": 2, key: value}
+        with pytest.raises(ConfigurationError, match=message):
+            detector.train(small_records(2), small_cfg(), nn.OptimizerConfig(), seed=0, **args)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigurationError):
             detector.train([], small_cfg(), nn.OptimizerConfig(), iterations=1, seed=0)

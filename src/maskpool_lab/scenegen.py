@@ -411,7 +411,7 @@ def save_dataset(records, classes, out_dir, seed=None, bias=None) -> DatasetMani
                            seed=seed, bias=bias)
 
 
-def _entry_error(index: int, e) -> str | None:
+def _entry_error(index: int, e, num_classes: int) -> str | None:
     """Why manifest image entry ``index`` cannot become an ImageRecord, or None."""
     if not isinstance(e, dict):
         return f"image entry {index} is not an object"
@@ -427,6 +427,8 @@ def _entry_error(index: int, e) -> str | None:
         if not (isinstance(box, list) and len(box) == 4 and isinstance(inst.get("class_id"), int)
                 and all(isinstance(v, (int, float)) for v in box)):
             return f"{name}: instance {inst!r} needs an integer class_id and 4 numbers in bbox"
+        if not 0 <= inst["class_id"] < num_classes:
+            return f"{name}: instance class_id {inst['class_id']} is outside the {num_classes} classes"
     return None
 
 
@@ -441,7 +443,7 @@ def load_dataset(path) -> DatasetManifest:
             raise ParseError(manifest_path, 0, f"manifest key {key!r} is not a list")
     root = manifest_path.parent
     for index, e in enumerate(doc["images"]):
-        error = _entry_error(index, e)
+        error = _entry_error(index, e, len(doc["classes"]))
         if error:
             raise ParseError(manifest_path, 0, error)
         if not (root / e["file"]).exists():

@@ -4,6 +4,7 @@ replayability, and the gen -> train -> eval -> report pipeline at toy scale."""
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,18 @@ class TestConfigHandling:
         assert cli.main(["eval", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert f"{data / 'manifest.json'}: byte 0: image {doc['images'][1]['id']!r}" in err
+
+    def test_class_id_outside_classes_exit_1(self, tiny, tmp_path, capsys):
+        data = shutil.copytree(tiny[0], tmp_path / "data")
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["images"][0]["instances"][0]["class_id"] = 7
+        (data / "manifest.json").write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "e.json", dataset=str(data), checkpoint=str(tiny[1]),
+                           out=str(tmp_path / "evalout"))
+        assert cli.main(["eval", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{data / 'manifest.json'}: byte 0: image {doc['images'][0]['id']!r}" in err
+        assert "class_id 7 is outside the 3 classes" in err
 
     def test_non_finite_checkpoint_weight_exit_1(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -164,7 +164,8 @@ class TestManifestIO:
 
     @pytest.mark.parametrize("case", ["entry without id", "instance without class_id",
                                       "non-numeric bbox", "instances not a list",
-                                      "images not a list"])
+                                      "images not a list", "class_id past the classes",
+                                      "negative class_id"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, case):
         scenegen.generate_dataset(1, 64, seed=1, out_dir=tmp_path)
         doc = json.loads((tmp_path / "manifest.json").read_text())
@@ -179,6 +180,8 @@ class TestManifestIO:
             entry["instances"][0]["bbox"] = ["a", 1, 2, 3]
         elif case == "instances not a list":
             entry["instances"] = 5
+        elif case.endswith("class_id"):
+            entry["instances"][0]["class_id"] = len(doc["classes"]) if "past" in case else -1
         else:
             doc["images"] = 3
             named = "'images' is not a list"

@@ -204,7 +204,7 @@ class Pass:
 
 
 class Op:
-    """No forward writes to its input: ``experiments.evaluate_settings`` hands one
+    """No forward writes to its input: ``experiments.evaluate_records`` hands one
     activation to the ops of several settings, and a write would leak between them."""
 
     mask_stride = None  # feature stride of the mask level the op reads

@@ -146,23 +146,22 @@ class EvalResult:
 
 def evaluate_records(model, records, class_names, levels=None,
                      bg_weight: float = 1.0, perturb_all_stages: bool = False,
-                     hierarchy=None, batch_size: int = 16) -> EvalResult:
-    """Run inference over records and score mAP50 + hierarchical F1: the one-setting
-    case of ``evaluate_settings``.  ``levels`` default to the records' own masks."""
-    if levels is None:
-        levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records], bg_weight,
-                                      perturb_all_stages)
-    return evaluate_settings(model, records, class_names,
-                             [(levels, bg_weight, perturb_all_stages)], hierarchy, batch_size)[0]
+                     hierarchy=None, batch_size: int = 16, *, settings=None, threads: int = 1):
+    """Run inference over records and score mAP50 + hierarchical F1 for one setting:
+    ``levels`` (the records' per-stride mask stacks, ``detector.mask_levels``; by default
+    built from their own masks), ``bg_weight`` and ``perturb_all_stages``.  Given
+    ``settings``, a list of such triples, scores each in the same pass over the batches
+    and returns a list with one EvalResult per setting.
 
-
-def evaluate_settings(model, records, class_names, settings, hierarchy=None,
-                      batch_size: int = 16, threads: int = 1) -> list:
-    """One EvalResult per setting ``(levels, bg_weight, perturb_all_stages)`` from one pass
-    over the batches; each batch reads its rows of ``levels`` (``detector.mask_levels``).
     Every setting's op list starts with the same Conv/Relu ops before its first mask
     reader, so a batch runs them once and ``threads`` settings at a time go on from there:
     bit for bit a walk per setting only because no op writes to its input."""
+    one = settings is None
+    if one:
+        if levels is None:
+            levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records], bg_weight,
+                                          perturb_all_stages)
+        settings = [(levels, bg_weight, perturb_all_stages)]
     cfg = model.cfg
     op_lists = [detector.build_ops(cfg, detector.bg_mode(w, every)) for _, w, every in settings]
     split = min(next((i for i, op in enumerate(ops) if op.mask_stride is not None), len(ops))
@@ -174,8 +173,8 @@ def evaluate_settings(model, records, class_names, settings, hierarchy=None,
         x = detector.Pass(op_lists[0][:split], model).forward(x)
 
         def finish(k):
-            levels, w, _ = settings[k]
-            rows = levels and {s: m[start:start + batch_size] for s, m in levels.items()}
+            lv, w, _ = settings[k]
+            rows = lv and {s: m[start:start + batch_size] for s, m in lv.items()}
             raw = detector.Pass(op_lists[k][split:], model, rows, w).forward(x)
             head = detector.DetHeadOutput.from_raw(raw, cfg.num_classes)
             for rec, d in zip(chunk, detector.decode(head, cfg)):
@@ -190,7 +189,8 @@ def evaluate_settings(model, records, class_names, settings, hierarchy=None,
         hf = metrics.hierarchical_f1(dets_by_image, gts_by_image, hierarchy, class_names=class_names)
         return EvalResult(m, {class_names[c]: v for c, v in per_class.items()}, hf, dets_by_image)
 
-    return _map_ordered(score, dets, threads)
+    results = _map_ordered(score, dets, threads)
+    return results[0] if one else results
 
 
 def _model_of(ckpt_or_model):
@@ -222,9 +222,8 @@ def run_bg_activation_sweep(ckpt, dataset, sweep: SweepSpec | None = None,
     perturbed = next((w for w in sweep.weights if w != 1.0), 1.0)
     levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records],
                                   perturbed, perturb_all_stages)
-    results = evaluate_settings(model, records, class_names,
-                                [(levels, w, perturb_all_stages) for w in sweep.weights],
-                                threads=threads)
+    results = evaluate_records(model, records, class_names, threads=threads,
+                               settings=[(levels, w, perturb_all_stages) for w in sweep.weights])
     report = ExperimentReport(model_id, dataset_id, "bg_activation_sweep")
     report.rows = [ReportRow(w, r.map50, r.per_class_ap, r.per_class_hf)
                    for w, r in zip(sweep.weights, results)]
@@ -293,7 +292,7 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
     for f in factors:
         perturbed = [maskpool.morph_perturb(m, "dilate" if f > 1 else "erode", f) for m in masks]
         settings.append((detector.mask_levels(model.cfg, perturbed), 1.0, False))
-    results = evaluate_settings(model, records, class_names, settings, threads=threads)
+    results = evaluate_records(model, records, class_names, settings=settings, threads=threads)
     report = ExperimentReport(model_id, dataset_id, "boundary_ablation")
     report.rows = [ReportRow(label, r.map50, r.per_class_ap, r.per_class_hf)
                    for label, r in zip(["baseline", *factors], results)]

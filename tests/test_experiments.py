@@ -2,6 +2,8 @@
 report aggregates and schema round trips, ablation and diff tables."""
 
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -52,10 +54,28 @@ class TestEvaluateSettings:
         masks = [r.fg_mask for r in records]
         settings = [(detector.mask_levels(model.cfg, masks, w, every), w, every)
                     for w, every in ((1.0, False), (0.5, False), (2.0, True))]
-        results = experiments.evaluate_settings(model, records, names, settings, batch_size=4)
+        results = experiments.evaluate_records(model, records, names, batch_size=4,
+                                               settings=settings)
         for (levels, w, every), got in zip(settings, results):
             want = experiments.evaluate_records(model, records, names, None, w, every, batch_size=4)
             assert got == want
+
+    def test_more_threads_than_cores_same_results(self, world):
+        """Threads share each batch's activation and write their own setting's
+        detections; frequent thread switches must not move a result."""
+        records, names, _, ckpt_mask = world
+        model = detector.model_from_checkpoint(ckpt_mask)
+        levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records], 0.5)
+        settings = [(levels, w, False) for w in (0.5, 1.0, 1.5, 2.0, 2.5)]
+        want = experiments.evaluate_records(model, records, names, batch_size=4, settings=settings)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = experiments.evaluate_records(model, records, names, batch_size=4, settings=settings,
+                                               threads=2 * (os.cpu_count() or 1) + 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 class TestSweep:

@@ -44,7 +44,7 @@ class TestEvaluate:
             assert np.array_equal(r.image, img) and np.array_equal(r.fg_mask, m)
 
 
-class TestEvaluateSettings:
+class TestSettingsInOnePass:
     @pytest.mark.parametrize("variant", ("max", "mask"))
     def test_each_setting_equals_its_own_evaluation(self, world, variant):
         """The shared layers before the first mask reader change no result, with a

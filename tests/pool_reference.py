@@ -3,13 +3,15 @@ ship, kept as bitwise references for the strided-view kernels in ``nn`` and
 ``maskpool``.
 
 Each window is copied into an (n, c, kernel*kernel, oh*ow) column buffer
-(``nn._im2col``), reduced along the window axis, and gradients are folded
-back with ``nn._col2im``.  The new kernels must reproduce these outputs,
-argmax indices, ``MaskPoolRecord`` fields and input gradients bit for bit.
+(``im2col_reference.im2col``), reduced along the window axis, and gradients
+are folded back with ``im2col_reference.col2im``.  The new kernels must
+reproduce these outputs, argmax indices, ``MaskPoolRecord`` fields and input
+gradients bit for bit.
 """
 
 import numpy as np
 
+from im2col_reference import col2im, im2col, pad
 from maskpool_lab import maskpool, nn
 
 
@@ -18,7 +20,7 @@ def valid_window_counts(h, w, kernel, stride, padding):
     oh = nn.out_size(h, kernel, stride, padding)
     ow = nn.out_size(w, kernel, stride, padding)
     ones = np.ones((1, 1, h, w), dtype=nn.FLOAT)
-    return nn._im2col(nn._pad(ones, padding), kernel, stride, oh, ow)[0, 0]
+    return im2col(pad(ones, padding), kernel, stride, oh, ow)[0, 0]
 
 
 def relu_backward(x, grad_out):
@@ -31,7 +33,7 @@ def maxpool2d_forward(x, kernel, stride, padding=0):
     n, c, h, w = x.shape
     nn._check_geometry(h, w, kernel, stride, padding, pooling=True)
     oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
-    cols = nn._im2col(nn._pad(x, padding, value=-np.inf), kernel, stride, oh, ow)
+    cols = im2col(pad(x, padding, value=-np.inf), kernel, stride, oh, ow)
     argmax = cols.argmax(axis=2)  # first occurrence on ties
     y = np.take_along_axis(cols, argmax[:, :, None, :], axis=2)[:, :, 0, :]
     return y.reshape(n, c, oh, ow).astype(x.dtype), argmax
@@ -44,7 +46,7 @@ def maxpool2d_backward(x, argmax, grad_out, kernel, stride, padding=0):
     oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
     gcols = np.zeros((n, c, kernel * kernel, oh * ow), dtype=x.dtype)
     np.put_along_axis(gcols, argmax[:, :, None, :], grad_out.reshape(n, c, 1, oh * ow), axis=2)
-    return nn._col2im(gcols, x.shape, kernel, stride, padding, oh, ow)
+    return col2im(gcols, x.shape, kernel, stride, padding, oh, ow)
 
 
 def avgpool2d_forward(x, kernel, stride, padding=0):
@@ -52,7 +54,7 @@ def avgpool2d_forward(x, kernel, stride, padding=0):
     n, c, h, w = x.shape
     nn._check_geometry(h, w, kernel, stride, padding, pooling=True)
     oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
-    cols = nn._im2col(nn._pad(x, padding), kernel, stride, oh, ow)
+    cols = im2col(pad(x, padding), kernel, stride, oh, ow)
     counts = valid_window_counts(h, w, kernel, stride, padding).sum(axis=0)
     y = cols.sum(axis=2, dtype=np.float64) / counts
     return y.reshape(n, c, oh, ow).astype(x.dtype)
@@ -66,7 +68,7 @@ def avgpool2d_backward(x, grad_out, kernel, stride, padding=0):
     valid = valid_window_counts(h, w, kernel, stride, padding)
     counts = valid.sum(axis=0)
     shared = (grad_out.reshape(n, c, 1, oh * ow) / counts) * valid
-    return nn._col2im(shared.astype(x.dtype), x.shape, kernel, stride, padding, oh, ow)
+    return col2im(shared.astype(x.dtype), x.shape, kernel, stride, padding, oh, ow)
 
 
 def maskpool2d_forward(x, m, kernel=3, stride=2, padding=1):
@@ -75,8 +77,8 @@ def maskpool2d_forward(x, m, kernel=3, stride=2, padding=1):
     mb = maskpool._mask_batch(m, n, h, w)
     nn._check_geometry(h, w, kernel, stride, padding, pooling=True)
     oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
-    xcols = nn._im2col(nn._pad(x, padding), kernel, stride, oh, ow)            # (n,c,k2,L)
-    mcols = nn._im2col(nn._pad(mb[:, None], padding), kernel, stride, oh, ow)  # (n,1,k2,L)
+    xcols = im2col(pad(x, padding), kernel, stride, oh, ow)            # (n,c,k2,L)
+    mcols = im2col(pad(mb[:, None], padding), kernel, stride, oh, ow)  # (n,1,k2,L)
     valid = valid_window_counts(h, w, kernel, stride, padding)                 # (k2,L)
     fg = mcols * valid
     n_fg = fg.sum(axis=2)                      # (n,1,L)
@@ -98,11 +100,11 @@ def maskpool2d_backward(x, m, grad_out, record):
     kernel, stride, padding = record.kernel, record.stride, record.padding
     oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
     mb = maskpool._mask_batch(m, n, h, w)
-    mcols = nn._im2col(nn._pad(mb[:, None], padding), kernel, stride, oh, ow)
+    mcols = im2col(pad(mb[:, None], padding), kernel, stride, oh, ow)
     valid = valid_window_counts(h, w, kernel, stride, padding)
     fg = mcols * valid
     branch = record.branch_fg.reshape(n, 1, 1, oh * ow)
     sel = np.where(branch, fg, valid - fg)                       # (n,1,k2,L)
     share = grad_out.reshape(n, c, oh * ow) / record.counts.reshape(n, 1, oh * ow)
     gcols = share[:, :, None, :] * sel
-    return nn._col2im(gcols.astype(x.dtype), x.shape, kernel, stride, padding, oh, ow)
+    return col2im(gcols.astype(x.dtype), x.shape, kernel, stride, padding, oh, ow)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ap_oracle
+from im2col_reference import col2im, im2col, pad
 from maskpool_lab import cli, detector, experiments, maskpool, metrics, nn, scenegen
 
 
@@ -29,11 +30,11 @@ def report(n, passed, detail=""):
 def _near_tie_exclusion(x, kernel, stride, padding, gap=1e-2):
     n, c, h, w = x.shape
     oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
-    cols = nn._im2col(nn._pad(x, padding, value=-np.inf), kernel, stride, oh, ow)
+    cols = im2col(pad(x, padding, value=-np.inf), kernel, stride, oh, ow)
     top2 = np.sort(cols, axis=2)[:, :, -2:, :]
     risky = (top2[:, :, 1, :] - top2[:, :, 0, :]) < gap
     indicator = np.broadcast_to(risky[:, :, None, :], cols.shape).astype(np.float32)
-    return nn._col2im(indicator.copy(), x.shape, kernel, stride, padding, oh, ow) > 0
+    return col2im(indicator.copy(), x.shape, kernel, stride, padding, oh, ow) > 0
 
 
 def test_criterion_1_gradient_fidelity():

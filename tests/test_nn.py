@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from im2col_reference import col2im, im2col, pad
 from maskpool_lab import nn
 from maskpool_lab.errors import ConfigurationError
 
@@ -154,11 +155,11 @@ def _near_tie_window_pixels(x, kernel, stride, padding, gap=1e-2):
     """Exclusion mask: all pixels of any window whose top-2 values are closer than gap."""
     n, c, h, w = x.shape
     oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
-    cols = nn._im2col(nn._pad(x, padding, value=-np.inf), kernel, stride, oh, ow)
+    cols = im2col(pad(x, padding, value=-np.inf), kernel, stride, oh, ow)
     top2 = np.sort(cols, axis=2)[:, :, -2:, :]
     risky = (top2[:, :, 1, :] - top2[:, :, 0, :]) < gap  # (n,c,L)
     indicator = np.broadcast_to(risky[:, :, None, :], cols.shape).astype(np.float32)
-    folded = nn._col2im(indicator.copy(), x.shape, kernel, stride, padding, oh, ow)
+    folded = col2im(indicator.copy(), x.shape, kernel, stride, padding, oh, ow)
     return folded > 0
 
 

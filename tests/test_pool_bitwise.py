@@ -6,7 +6,7 @@ match bit for bit (compared as unsigned integers, so the sign of zero
 counts), at float32 and at the float64 precision ``grad_check`` drives, on
 inputs full of post-ReLU zeros, ties, +-inf and NaN.
 
-Every drawn geometry yields at least two windows.  For a single-window output
+Every drawn case has at least two windows.  For a single-window output
 numpy's reduction in the reference switches to pairwise summation, so there
 the reference is not row-major; ``test_single_window_sums_row_major`` pins
 the new kernels' order for that case.
@@ -14,7 +14,7 @@ the new kernels' order for that case.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import pool_reference as ref
@@ -23,8 +23,9 @@ from maskpool_lab import maskpool, nn
 # inf and NaN inputs raise numpy's invalid-value warnings in both implementations
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-# (kernel, stride, padding): the geometries the operator tests use
-GEOMETRIES = [(2, 2, 0), (3, 1, 0), (3, 2, 1)]
+# (kernel, stride, padding): fixed geometries of the hand tests; the
+# property tests draw any legal one
+GEOMETRIES = [(2, 2, 0), (3, 1, 0), (3, 2, 1), (3, 2, 2)]
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.inf, -np.inf, np.nan]
 
@@ -62,16 +63,19 @@ def values(draw, dtype, shape):
 
 @st.composite
 def pool_case(draw):
-    kernel, stride, padding = draw(st.sampled_from(GEOMETRIES))
+    kernel, stride = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # up to kernel - 1, the most that leaves every window a valid pixel:
+    # border windows then hold a single one
+    padding = draw(st.integers(0, kernel - 1))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    # from size 4 every geometry has at least two windows per axis
-    h = draw(st.integers(4, 9))
-    w = draw(st.integers(4, 9))
+    low = max(1, kernel - 2 * padding)  # the smallest legal h and w
+    h, w = (draw(st.one_of(st.just(low), st.integers(low, low + 6))) for _ in range(2))
+    oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
+    assume(oh * ow >= 2)
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     x = draw(values(dtype, (n, c, h, w)))
     if draw(st.booleans()):
         x = np.maximum(x, dtype(0))  # post-ReLU: zeros and ties everywhere
-    oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
     g = draw(values(dtype, (n, c, oh, ow)))
     return x, g, kernel, stride, padding
 

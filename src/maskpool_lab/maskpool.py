@@ -9,10 +9,10 @@ when downsampling masks by majority vote.
 The mask is a constant input: the backward pass routes gradient only into
 the pixels of the selected region and never differentiates the mask.
 
-Like the pooling ops in ``nn``, the operator reads its windows as strided
-views of the padded input and mask (``nn._windows``).  Window sums
-accumulate in float64, view by view in row-major window order from +0.0;
-that order fixes the rounding that keeps checkpoints and reports
+Like the pooling ops in ``nn``, the forward reads strided window views of the
+bordered input and mask and the backward adds into the unpadded gradient.
+Window sums accumulate in float64, view by view in row-major window order
+from +0.0; that order fixes the rounding that keeps checkpoints and reports
 byte-identical, so it must not change.
 """
 
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import (FLOAT, Array, _check_geometry, _crop, _pad, _valid_windows,
-                 _windows, as_nchw, out_size)
+from .nn import (FLOAT, Array, _check_geometry, _pad, _taps, _windows, as_nchw, out_size,
+                 window_counts)
 
 
 def as_binary_mask(m: Array) -> Array:
@@ -95,14 +95,6 @@ class MaskPoolRecord:
     padding: int
 
 
-def _region_windows(mb: Array, kernel: int, stride: int, padding: int, oh: int, ow: int):
-    """Per window pixel, the (n, 1, oh, ow) 0/1 maps of valid FG and valid BG pixels."""
-    n, h, w = mb.shape
-    fg = _windows(_pad(mb[:, None], padding), kernel, stride, oh, ow)
-    valid = _valid_windows(h, w, kernel, stride, padding)
-    return fg, [v - f for v, f in zip(valid, fg)]
-
-
 def maskpool2d_forward(x: Array, m: Array, kernel: int = 3, stride: int = 2, padding: int = 1):
     """Mask-guided pooling; returns (pooled, MaskPoolRecord).
 
@@ -112,16 +104,18 @@ def maskpool2d_forward(x: Array, m: Array, kernel: int = 3, stride: int = 2, pad
     """
     x = as_nchw(x)
     n, c, h, w = x.shape
-    mb = _mask_batch(m, n, h, w)
+    mb = _mask_batch(m, n, h, w)[:, None]
     _check_geometry(h, w, kernel, stride, padding, pooling=True)
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    fg, bg = _region_windows(mb, kernel, stride, padding, oh, ow)
-    n_fg, n_bg = sum(fg), sum(bg)              # (n,1,oh,ow)
+    fg = _windows(_pad(mb, padding), kernel, stride, oh, ow)
+    n_fg = sum(fg)                             # (n,1,oh,ow)
+    n_bg = window_counts(h, w, kernel, stride, padding) - n_fg
     branch_fg = n_fg >= n_bg
     counts = np.where(branch_fg, n_fg, n_bg)
     total = np.zeros((n, c, oh, ow))
-    for v, f, b in zip(_windows(_pad(x, padding), kernel, stride, oh, ow), fg, bg):
-        total += v * np.where(branch_fg, f, b)
+    # selected iff the mask bit equals the branch; a padded pixel may match but adds +0.0
+    for v, f in zip(_windows(_pad(x, padding), kernel, stride, oh, ow), fg):
+        total += v * (f == branch_fg)
     record = MaskPoolRecord(branch_fg=branch_fg[:, 0], counts=counts[:, 0],
                             kernel=kernel, stride=stride, padding=padding)
     return (total / counts).astype(x.dtype), record
@@ -138,13 +132,13 @@ def maskpool2d_backward(x: Array, m: Array, grad_out: Array, record: MaskPoolRec
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
     if grad_out.shape != (n, c, oh, ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
-    fg, bg = _region_windows(_mask_batch(m, n, h, w), kernel, stride, padding, oh, ow)
+    mb = _mask_batch(m, n, h, w)[:, None]
     branch = record.branch_fg[:, None]
     share = grad_out / record.counts[:, None]
-    gp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    for view, f, b in zip(_windows(gp, kernel, stride, oh, ow), fg, bg):
-        view += (share * np.where(branch, f, b)).astype(x.dtype, copy=False)
-    return _crop(gp, padding)
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    for out, inp in _taps(h, w, kernel, stride, padding, oh, ow):
+        gx[inp] += (share[out] * (mb[inp] == branch[out])).astype(x.dtype, copy=False)
+    return gx
 
 
 # ---------------------------------------------------------------------------

@@ -10,22 +10,24 @@ Conventions:
   - pooling ops exclude padded positions from counts, averages and maxima;
   - reductions (means, losses) accumulate in float64 before casting back.
 
-Convolution lowers its windows to im2col columns for one matmul.  A training
-forward returns those columns (``with_cols``) and the backward forms the
-weight gradient from them (``cols``) instead of rebuilding them.  Pooling has
-no weights to multiply, so it reads the kernel*kernel windows as strided
-views of the padded input (``_windows``) and never copies them.  Window sums
-(avg and mask pooling, forward and backward, and the conv input gradient)
-accumulate window pixel by window pixel in row-major window order, starting
-from +0.0.  That order fixes every rounding, so it keeps checkpoints and
-reports byte-identical and must not change; tests/pool_reference.py and
-tests/conv_reference.py hold the former kernels it must match.  A stride-1
-conv folds its input gradient through contiguous slices instead of strided
-views (``_fold_stride1``), with the same float32 bits.
+Convolution writes im2col columns straight from the unpadded activation
+(zeroing only border taps; a 1x1 stride-1 conv uses the input itself) for one
+matmul, and a training forward hands them to the backward (``with_cols``).
+Pooling forwards read strided window views (``_windows``) of an input given a
+border by ``_pad``.  The avg and mask pooling backwards and the strided conv
+fold add each window pixel's in-image part (``_taps``) straight into the
+unpadded gradient.  Window sums accumulate pixel by pixel in row-major window
+order from +0.0 and skip only adds that would land in the padding.  That
+order fixes every rounding, so it keeps checkpoints and reports
+byte-identical and must not change; tests/pool_reference.py and
+tests/conv_reference.py hold the former padded kernels it must match.  A
+stride-1 conv folds its input gradient through contiguous slices instead
+(``_fold_stride1``), with the same float32 bits.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,13 +125,18 @@ def _windows(xp: Array, kernel: int, stride: int, oh: int, ow: int) -> list:
             for i in range(kernel) for j in range(kernel)]
 
 
-def _im2col(xp: Array, kernel: int, stride: int, oh: int, ow: int) -> Array:
-    """(n, c, H, W) padded input -> (n, c, kernel*kernel, oh*ow) window columns."""
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kernel * kernel, oh, ow), dtype=xp.dtype)
-    for k, view in enumerate(_windows(xp, kernel, stride, oh, ow)):
-        cols[:, :, k] = view
-    return cols.reshape(n, c, kernel * kernel, oh * ow)
+def _taps(h: int, w: int, kernel: int, stride: int, padding: int, oh: int, ow: int) -> list:
+    """Per window pixel, in row-major window order, an (out, inp) index pair:
+    ``out`` picks the part of the (oh, ow) output grid where that pixel lies
+    inside the unpadded (h, w) input, ``inp`` the input pixels it reads there.
+    Both are empty where the pixel lies in the padding of every window."""
+    def spans(size, n_out):
+        for i in range(kernel):
+            lo = min(n_out, max(0, -((i - padding) // stride)))  # first window inside
+            hi = max(lo, min(n_out, (size - 1 - i + padding) // stride + 1))
+            start = i - padding + stride * lo
+            yield slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+    return [((..., ro, co), (..., ri, ci)) for ro, ri in spans(h, oh) for co, ci in spans(w, ow)]
 
 
 def _crop(xp: Array, padding: int) -> Array:
@@ -138,34 +145,23 @@ def _crop(xp: Array, padding: int) -> Array:
     return xp
 
 
-def _col2im(cols: Array, shape, kernel: int, stride: int, padding: int, oh: int, ow: int) -> Array:
-    """Fold (n, c, kernel*kernel, oh*ow) columns back, accumulating overlaps."""
-    n, c, h, w = shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kernel * kernel, oh, ow)
-    for k, view in enumerate(_windows(xp, kernel, stride, oh, ow)):
-        view += cols[:, :, k]
-    return _crop(xp, padding)
-
-
 def _pad(x: Array, padding: int, value: float = 0.0) -> Array:
+    """x inside a border of ``value``, for the pooling forwards' window views."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                  constant_values=value)
-
-
-def _valid_windows(h: int, w: int, kernel: int, stride: int, padding: int) -> list:
-    """Per window pixel, the (1, 1, oh, ow) 0/1 map of windows where it lies inside the image."""
-    oh = out_size(h, kernel, stride, padding)
-    ow = out_size(w, kernel, stride, padding)
-    ones = np.ones((1, 1, h, w), dtype=FLOAT)
-    return _windows(_pad(ones, padding), kernel, stride, oh, ow)
+    n, c, h, w = x.shape
+    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), value, dtype=x.dtype)
+    _crop(xp, padding)[...] = x
+    return xp
 
 
 def window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Array:
     """(oh, ow) number of valid (non-padded) pixels in each window."""
-    return sum(_valid_windows(h, w, kernel, stride, padding))[0, 0]
+    oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
+    counts = np.zeros((oh, ow), dtype=FLOAT)
+    for out, _ in _taps(h, w, kernel, stride, padding, oh, ow):
+        counts[out] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +169,19 @@ def window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Arr
 # ---------------------------------------------------------------------------
 
 def _conv_cols(x: Array, kernel: int, stride: int, padding: int, oh: int, ow: int) -> Array:
-    """(n, c*kernel*kernel, oh*ow) im2col columns of the padded input."""
-    n, c = x.shape[:2]
-    return _im2col(_pad(x, padding), kernel, stride, oh, ow).reshape(n, c * kernel * kernel, oh * ow)
+    """(n, c*kernel*kernel, oh*ow) im2col columns, written straight from the
+    unpadded input: each window pixel's slab copies its in-image part and
+    zeroes the rest.  A 1x1 stride-1 conv's columns are the input itself."""
+    n, c, h, w = x.shape
+    if kernel == 1 and stride == 1 and padding == 0:
+        return x.reshape(n, c, h * w)
+    cols = np.empty((n, c, kernel * kernel, oh, ow), dtype=x.dtype)
+    for k, (out, inp) in enumerate(_taps(h, w, kernel, stride, padding, oh, ow)):
+        slab, (_, rows, cs) = cols[:, :, k], out
+        slab[:, :, :rows.start] = slab[:, :, rows.stop:] = 0
+        slab[:, :, rows, :cs.start] = slab[:, :, rows, cs.stop:] = 0
+        slab[out] = x[inp]
+    return cols.reshape(n, c * kernel * kernel, oh * ow)
 
 
 def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0,
@@ -194,15 +200,27 @@ def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0,
     _check_geometry(h, w, kh, stride, padding, pooling=False)
     oh, ow = out_size(h, kh, stride, padding), out_size(w, kw, stride, padding)
     cols = _conv_cols(x, kh, stride, padding, oh, ow)
-    wmat = p.weights.reshape(oc, ic * kh * kw).astype(x.dtype)
-    y = np.matmul(wmat, cols) + p.bias.reshape(1, oc, 1).astype(x.dtype)
-    y = y.reshape(n, oc, oh, ow)
+    wmat = p.weights.reshape(oc, ic * kh * kw).astype(x.dtype, copy=False)
+    y = np.matmul(wmat, cols).reshape(n, oc, oh, ow)
+    y += p.bias.reshape(1, oc, 1, 1).astype(x.dtype, copy=False)
     return (y, cols) if with_cols else y
 
 
+def _fold(gcols: Array, shape, kernel: int, stride: int, padding: int, oh: int, ow: int) -> Array:
+    """Input gradient from (n, c*kernel*kernel, oh*ow) columns: each window
+    pixel's in-image part is added straight into the unpadded gradient, in
+    row-major window order from +0.0."""
+    n, c, h, w = shape
+    gx = np.zeros(shape, dtype=gcols.dtype)
+    gcols = gcols.reshape(n, c, kernel * kernel, oh, ow)
+    for k, (out, inp) in enumerate(_taps(h, w, kernel, stride, padding, oh, ow)):
+        gx[inp] += gcols[:, :, k][out]
+    return gx
+
+
 def _fold_stride1(wt: Array, grad_out: Array, shape, kernel: int, padding: int) -> Array:
-    """Input gradient of a stride-1 conv: what ``_col2im`` makes of
-    ``wt @ grad_out``, folded through contiguous slices instead of strided views.
+    """Input gradient of a stride-1 conv: what ``_fold`` makes of ``wt @ grad_out``,
+    folded through contiguous slices of a padded buffer instead of strided views.
 
     ``grad_out`` is widened from ow to the padded width wp with zero columns,
     so output (r, col) of window pixel (i, j) lands at flat offset
@@ -215,7 +233,7 @@ def _fold_stride1(wt: Array, grad_out: Array, shape, kernel: int, padding: int) 
     way whatever the number of columns.  OpenBLAS's sgemm does, so float32
     results are unchanged; its dgemm computes the last columns of a large
     product with another kernel, so float64 results (gradient checks only)
-    can differ from ``_col2im``'s in the last bits."""
+    can differ from ``_fold``'s in the last bits."""
     n, c, h, w = shape
     _, oc, oh, ow = grad_out.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -261,8 +279,7 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
     # numpy multiplies by a single column (oh*ow == 1) with gemv, not gemm
     if stride == 1 and oh * ow > 1 and np.isfinite(wt).all():
         return _fold_stride1(wt, grad_out, x.shape, kh, padding)
-    gcols = np.matmul(wt, g)
-    return _col2im(gcols.reshape(n, ic, kh * kw, oh * ow), x.shape, kh, stride, padding, oh, ow)
+    return _fold(np.matmul(wt, g), x.shape, kh, stride, padding, oh, ow)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +307,20 @@ def relu_backward(x: Array, grad_out: Array) -> Array:
 # pooling (padded positions are never counted, averaged or selected)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _window_origins(padded_shape, stride: int, oh: int, ow: int) -> Array:
+    """Read-only (n, c, oh, ow) flat index of each window's first pixel in a padded buffer."""
+    n, c, hp, wp = padded_shape
+    plane = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
+    origins = plane + (np.arange(oh)[:, None] * wp + np.arange(ow)) * stride
+    origins.flags.writeable = False
+    return origins
+
+
 def _flat_index(argmax: Array, padded_shape, kernel: int, stride: int) -> Array:
     """Flat index into the padded (n, c, H, W) buffer of each window's argmax pixel."""
-    n, c, hp, wp = padded_shape
-    oh, ow = argmax.shape[2:]
-    di, dj = np.divmod(np.arange(kernel * kernel), kernel)
-    origin = (np.arange(oh)[:, None] * wp + np.arange(ow)) * stride
-    plane = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
-    return plane + origin + (di * wp + dj)[argmax]
+    offsets = (np.arange(kernel)[:, None] * padded_shape[3] + np.arange(kernel)).reshape(-1)
+    return np.take(offsets, argmax) + _window_origins(tuple(padded_shape), stride, *argmax.shape[2:])
 
 
 def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
@@ -316,13 +339,14 @@ def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
     # argmax counts the window pixels before the first one equal to the
     # maximum (or NaN, when the maximum is NaN)
     nan = np.isnan(top).any()
-    argmax = np.zeros(top.shape, dtype=np.intp)
+    argmax = np.zeros(top.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
     before = np.ones(top.shape, dtype=bool)
     for v in views[:-1]:
         before &= v != top
         if nan:
             before &= v == v
         argmax += before
+    argmax = argmax.astype(np.intp)
     # read the value back at argmax: the maximum's bits, signed zero and NaN included
     y = np.take(xp, _flat_index(argmax, xp.shape, kernel, stride))
     return y, argmax.reshape(n, c, oh * ow)
@@ -366,11 +390,10 @@ def avgpool2d_backward(x: Array, grad_out: Array, kernel: int, stride: int, padd
     if grad_out.shape != (n, c, oh, ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
     share = (grad_out / window_counts(h, w, kernel, stride, padding)).astype(x.dtype, copy=False)
-    gp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    # shares of padded window pixels land in the border that _crop drops
-    for view in _windows(gp, kernel, stride, oh, ow):
-        view += share
-    return _crop(gp, padding)
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    for out, inp in _taps(h, w, kernel, stride, padding, oh, ow):
+        gx[inp] += share[out]
+    return gx
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ Usage:
 
 import argparse
 import logging
+import sys
 from dataclasses import fields
 
+from maskpool_lab.errors import ConfigurationError
 from maskpool_lab.experiments import StudySpec, run_study
 
 
@@ -32,7 +34,11 @@ def main(argv=None):
 
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
     out = args.pop("out")
-    run_study(StudySpec(**args), out)
+    try:
+        run_study(StudySpec(**args), out)  # StudySpec checks every flag before any data is made
+    except ConfigurationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, maskpool, metrics, nn, scenegen
-from .errors import ConfigurationError, check_numbers, load_json, write_json
+from .errors import ConfigurationError, check_number, check_numbers, load_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -365,6 +365,22 @@ class StudySpec:
     bias: float = 0.85
     bg_pool: int = 16
     repetitions: int = 5
+
+    def __post_init__(self):
+        # the bounds scenegen, detector.train and the runners apply, checked before any data is made
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ConfigurationError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
+        for s in self.seeds:
+            check_number(s, "seeds entry", integer=True, minimum=0)
+        # image_size 49: scenegen's objects reach 44 px and keep a 4 px margin
+        for key, minimum in (("train_images", 1), ("val_images", 1), ("image_size", 49), ("iterations", 0),
+                             ("batch_size", 1), ("bg_pool", 1), ("repetitions", 1)):
+            check_number(getattr(self, key), key, integer=True, minimum=minimum)
+        detector.ModelConfig(image_size=self.image_size)  # a multiple of the grid stride
+        if not check_number(self.lr, "lr") > 0:
+            raise ConfigurationError(f"lr must be positive, got {self.lr!r}")
+        if not 0 <= check_number(self.bias, "bias") <= 1:
+            raise ConfigurationError(f"bias must be in [0, 1], got {self.bias!r}")
 
 
 def run_study(spec: StudySpec, out) -> tuple:

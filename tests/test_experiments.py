@@ -1,9 +1,11 @@
 """Intervention harness tests: identity interventions are exact no-ops,
 report aggregates and schema round trips, ablation and diff tables."""
 
+import importlib.util
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,3 +330,20 @@ class TestStudy:
         assert written == ({f"{r}.{ext}" for r in reports for ext in ("json", "csv")}
                            | {"max-seed0.mplb", "mask-seed0.mplb", "summary.json"})
         assert list(summary["seeds"]["0"]["ablation"]) == ["baseline", "0.8", "0.9", "1.1", "1.2"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("seeds", ()), ("seeds", (0, -1)), ("train_images", 0), ("val_images", 0), ("image_size", 40),
+        ("image_size", 60), ("iterations", -1), ("batch_size", 0), ("lr", 0.0), ("bias", 1.5),
+        ("bg_pool", 0), ("repetitions", 0)])
+    def test_bad_field_named_before_any_work(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            experiments.StudySpec(**{key: value})
+
+    def test_script_bad_flag_is_one_line_and_writes_nothing(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_bias_study.py"
+        spec = importlib.util.spec_from_file_location("run_bias_study", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--out", str(tmp_path / "study"), "--batch-size", "0"]) == 1
+        assert capsys.readouterr().err == "error: batch_size must be an integer >= 1, got 0\n"
+        assert not (tmp_path / "study").exists()

@@ -60,11 +60,12 @@ def check_number(value, key: str, integer: bool = False, minimum=None):
     return value
 
 
-def check_numbers(values, key: str) -> tuple:
-    """``values``, a list of finite numbers, as a tuple; else ConfigurationError naming ``key``."""
+def check_numbers(values, key: str, **bounds) -> tuple:
+    """``values``, a list of numbers that each pass ``check_number(..., **bounds)``, as a
+    tuple; else ConfigurationError naming ``key``."""
     if not isinstance(values, (list, tuple)):
         raise ConfigurationError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(check_number(v, f"{key} entry") for v in values)
+    return tuple(check_number(v, f"{key} entry", **bounds) for v in values)
 
 
 def write_json(path, doc) -> None:

@@ -368,10 +368,8 @@ class StudySpec:
 
     def __post_init__(self):
         # the bounds scenegen, detector.train and the runners apply, checked before any data is made
-        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
-            raise ConfigurationError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
-        for s in self.seeds:
-            check_number(s, "seeds entry", integer=True, minimum=0)
+        if not check_numbers(self.seeds, "seeds", integer=True, minimum=0):
+            raise ConfigurationError("seeds must list at least one seed")
         # image_size 49: scenegen's objects reach 44 px and keep a 4 px margin
         for key, minimum in (("train_images", 1), ("val_images", 1), ("image_size", 49), ("iterations", 0),
                              ("batch_size", 1), ("bg_pool", 1), ("repetitions", 1)):

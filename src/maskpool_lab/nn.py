@@ -27,7 +27,6 @@ stride-1 conv folds its input gradient through contiguous slices instead
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -307,20 +306,15 @@ def relu_backward(x: Array, grad_out: Array) -> Array:
 # pooling (padded positions are never counted, averaged or selected)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _window_origins(padded_shape, stride: int, oh: int, ow: int) -> Array:
-    """Read-only (n, c, oh, ow) flat index of each window's first pixel in a padded buffer."""
-    n, c, hp, wp = padded_shape
-    plane = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
-    origins = plane + (np.arange(oh)[:, None] * wp + np.arange(ow)) * stride
-    origins.flags.writeable = False
-    return origins
-
-
 def _flat_index(argmax: Array, padded_shape, kernel: int, stride: int) -> Array:
-    """Flat index into the padded (n, c, H, W) buffer of each window's argmax pixel."""
-    offsets = (np.arange(kernel)[:, None] * padded_shape[3] + np.arange(kernel)).reshape(-1)
-    return np.take(offsets, argmax) + _window_origins(tuple(padded_shape), stride, *argmax.shape[2:])
+    """Flat index into the padded (n, c, H, W) buffer of each window's argmax pixel:
+    the pixel's offset in its window, plus the window's origin, plus its plane's."""
+    n, c, hp, wp = padded_shape
+    oh, ow = argmax.shape[2:]
+    flat = np.take((np.arange(kernel)[:, None] * wp + np.arange(kernel)).reshape(-1), argmax)
+    flat += (np.arange(oh)[:, None] * wp + np.arange(ow)) * stride
+    flat += np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
+    return flat
 
 
 def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):

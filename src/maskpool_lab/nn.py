@@ -176,9 +176,10 @@ def _conv_cols(x: Array, kernel: int, stride: int, padding: int, oh: int, ow: in
         return x.reshape(n, c, h * w)
     cols = np.empty((n, c, kernel * kernel, oh, ow), dtype=x.dtype)
     for k, (out, inp) in enumerate(_taps(h, w, kernel, stride, padding, oh, ow)):
-        slab, (_, rows, cs) = cols[:, :, k], out
-        slab[:, :, :rows.start] = slab[:, :, rows.stop:] = 0
-        slab[:, :, rows, :cs.start] = slab[:, :, rows, cs.stop:] = 0
+        slab, rows, cs = cols[:, :, k], out[1], out[2]
+        # zero the windows where this pixel lies in the padding, copy the rest
+        slab[..., :rows.start, :] = slab[..., rows.stop:, :] = 0
+        slab[..., rows, :cs.start] = slab[..., rows, cs.stop:] = 0
         slab[out] = x[inp]
     return cols.reshape(n, c * kernel * kernel, oh * ow)
 
@@ -331,7 +332,8 @@ def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
     for v in views[1:]:
         np.maximum(top, v, out=top)  # propagates NaN
     # argmax counts the window pixels before the first one equal to the
-    # maximum (or NaN, when the maximum is NaN)
+    # maximum (or NaN, when the maximum is NaN), in the narrowest integer type
+    # that holds kernel*kernel - 1 (uint8 adds are cheaper than intp ones)
     nan = np.isnan(top).any()
     argmax = np.zeros(top.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
     before = np.ones(top.shape, dtype=bool)

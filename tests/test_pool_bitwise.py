@@ -114,6 +114,16 @@ class TestMaxPool:
         assert_bitwise(argmax, argmax_ref)
         assert argmax.reshape(3, 3)[0, 0] == 8  # the window's only NaN is its last pixel
 
+    def test_argmax_past_uint8(self):
+        # a 17x17 window has 289 pixels, more than a uint8 count can index
+        x = np.zeros((1, 1, 17, 18), np.float32)
+        x[0, 0, 16, 16] = 1.0
+        y, argmax = nn.maxpool2d_forward(x, 17, 1, 0)
+        y_ref, argmax_ref = ref.maxpool2d_forward(x, 17, 1, 0)
+        assert_bitwise(y, y_ref, nan_payload=True)
+        assert_bitwise(argmax, argmax_ref)
+        assert argmax.reshape(-1).tolist() == [288, 287]
+
     def test_signed_zero_tie_keeps_first(self):
         x = np.array([-0.0, 0.0, 0.0, -0.0], np.float32).reshape(1, 1, 2, 2)
         y, argmax = nn.maxpool2d_forward(x, 2, 2, 0)

@@ -12,8 +12,11 @@ so one warm-up run per tree precedes those pairs and is discarded.
 For every end-to-end metric of ``BENCHMARK.json`` it prints both medians and
 quartile ranges, the pairs the change won (ties count for neither side) and a
 verdict:
-  gain        the change won at least 9 in 10 pairs and the medians differ
-              by more than the parent's quartile range;
+  gain        at least 10 pairs ran, the change won at least 9 in 10 of
+              them, the medians differ by more than the parent's quartile
+              range and no more change runs than parent runs were incorrect;
+  too few pairs
+              all of that but the pair count;
   WORSE       the change's median is worse than the parent's by more than
               the metric's bound (a fraction of the parent median);
   unresolved  the parent's quartile range is wider than the bound, and not
@@ -23,7 +26,7 @@ Raw values go to ``<scratch>/pairs.json``.
 
 Usage:
     python3 scripts/bench_pairs.py HEAD~1 --seed 6101 --pairs 10 --scratch /tmp/pairs
-    python3 scripts/bench_pairs.py main --seed 7101 --workloads train --pairs 3 --scratch /tmp/p
+    python3 scripts/bench_pairs.py main --seed 7101 --workloads train --scratch /tmp/p
 """
 
 import argparse
@@ -58,15 +61,16 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], **{k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def verdict(metric: dict, parent: list, change: list) -> tuple:
-    """(wins, verdict) of the change against the parent, by the rules in the module docstring."""
+def verdict(metric: dict, parent: list, change: list, more_incorrect: bool) -> tuple:
+    """(wins, verdict) of the change against the parent, by the rules in the module docstring;
+    ``more_incorrect`` when more change runs than parent runs were incorrect."""
     sign = 1 if metric["better"] == "lower" else -1   # sign * (change - parent) < 0 is better
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     q1, mid, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     gain = sign * (mid - statistics.median(change))  # > 0 when the change's median is better
     bound = metric["bound"] * abs(mid)
-    if wins >= 0.9 * len(parent) and gain > q3 - q1:
-        return wins, "gain"
+    if wins >= 0.9 * len(parent) and gain > q3 - q1 and not more_incorrect:
+        return wins, "gain" if len(parent) >= 10 else "too few pairs"
     if -gain > bound:
         return wins, "WORSE"
     if q3 - q1 > bound and not max(sign * c for c in change) < min(sign * p for p in parent):
@@ -84,10 +88,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="git revision to compare the working tree with")
     parser.add_argument("--seed", type=int, required=True, help="first seed; pair i runs seed + i")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="a gain verdict needs at least 10")
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]],
                         choices=[w["name"] for w in bench["workloads"]])
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--scratch", type=Path, required=True, help="new directory for the two trees")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -100,26 +103,26 @@ def main(argv=None) -> int:
         runs = results[workload] = {"parent": [], "change": []}
         for side, tree in trees.items():
             if workload in BUILDS_REFERENCES and side not in warm:
-                run(tree, workload, args.seed - 1, args.seconds)  # builds the reference checkpoints
+                run(tree, workload, args.seed - 1, bench["run_seconds"])  # builds the reference checkpoints
                 warm.add(side)
         for i in range(args.pairs):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(run(trees[side], workload, args.seed + i, args.seconds))
+                runs[side].append(run(trees[side], workload, args.seed + i, bench["run_seconds"]))
                 print(f"{workload} seed {args.seed + i} {side}: "
                       + " ".join(f"{m['name']}={runs[side][-1][m['name']]:.4g}" for m in bench["end_to_end"]),
                       flush=True)
     (args.scratch / "pairs.json").write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
 
     for workload, runs in results.items():
+        incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
         print(f"\n{workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
-              f"--seconds {args.seconds:g}; incorrect runs: parent "
-              f"{sum(not r['correct'] for r in runs['parent'])}, change "
-              f"{sum(not r['correct'] for r in runs['change'])}")
+              f"--seconds {bench['run_seconds']:g}; incorrect runs: parent {incorrect['parent']}, "
+              f"change {incorrect['change']}")
         print(f"{'metric':<20} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}   wins  verdict")
         for metric in bench["end_to_end"]:
             parent = [r[metric["name"]] for r in runs["parent"]]
             change = [r[metric["name"]] for r in runs["change"]]
-            wins, word = verdict(metric, parent, change)
+            wins, word = verdict(metric, parent, change, incorrect["change"] > incorrect["parent"])
             print(f"{metric['name']:<20} {summary(parent):>30} {summary(change):>30}"
                   f"  {wins:>2}/{args.pairs}  {word}")
     return 0

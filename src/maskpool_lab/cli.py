@@ -143,7 +143,7 @@ def cmd_gen(cfg: dict, args) -> int:
         classes=tuple(classes), textures=tuple(textures), bias=bias,
         objects_per_image=tuple(cfg.get("objects_per_image", (1, 4))),
         seed=seed, out_dir=out,
-        size_range=tuple(cfg.get("size_range", (16, 44))))
+        size_range=tuple(cfg.get("size_range", scenegen.DEFAULT_SIZE_RANGE)))
     _write_run_manifest(out, "gen", cfg, seed, ["manifest.json"])
     log.info("generated %d images under %s", len(manifest), out)
     return 0

@@ -61,8 +61,7 @@ def check_number(value, key: str, integer: bool = False, minimum=None):
 
 
 def check_numbers(values, key: str, **bounds) -> tuple:
-    """``values``, a list of numbers that each pass ``check_number(..., **bounds)``, as a
-    tuple; else ConfigurationError naming ``key``."""
+    """``values``, a list of numbers that each pass ``check_number(..., **bounds)``, as a tuple."""
     if not isinstance(values, (list, tuple)):
         raise ConfigurationError(f"{key} must be a list of numbers, got {values!r}")
     return tuple(check_number(v, f"{key} entry", **bounds) for v in values)

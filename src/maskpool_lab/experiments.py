@@ -370,15 +370,13 @@ class StudySpec:
         # the bounds scenegen, detector.train and the runners apply, checked before any data is made
         if not check_numbers(self.seeds, "seeds", integer=True, minimum=0):
             raise ConfigurationError("seeds must list at least one seed")
-        # image_size 49: scenegen's objects reach 44 px and keep a 4 px margin
-        for key, minimum in (("train_images", 1), ("val_images", 1), ("image_size", 49), ("iterations", 0),
+        for key, minimum in (("train_images", 1), ("val_images", 1), ("image_size", 1), ("iterations", 0),
                              ("batch_size", 1), ("bg_pool", 1), ("repetitions", 1)):
             check_number(getattr(self, key), key, integer=True, minimum=minimum)
         detector.ModelConfig(image_size=self.image_size)  # a multiple of the grid stride
-        if not check_number(self.lr, "lr") > 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr!r}")
-        if not 0 <= check_number(self.bias, "bias") <= 1:
-            raise ConfigurationError(f"bias must be in [0, 1], got {self.bias!r}")
+        scenegen.check_size_range(self.image_size)
+        if not (check_number(self.lr, "lr") > 0 and 0 <= check_number(self.bias, "bias") <= 1):
+            raise ConfigurationError(f"lr must be positive and bias in [0, 1], got {self.lr!r}, {self.bias!r}")
 
 
 def run_study(spec: StudySpec, out) -> tuple:

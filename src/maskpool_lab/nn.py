@@ -10,19 +10,16 @@ Conventions:
   - pooling ops exclude padded positions from counts, averages and maxima;
   - reductions (means, losses) accumulate in float64 before casting back.
 
-Convolution writes im2col columns straight from the unpadded activation
-(zeroing only border taps; a 1x1 stride-1 conv uses the input itself) for one
-matmul, and a training forward hands them to the backward (``with_cols``).
-Pooling forwards read strided window views (``_windows``) of an input given a
-border by ``_pad``.  The avg and mask pooling backwards and the strided conv
-fold add each window pixel's in-image part (``_taps``) straight into the
-unpadded gradient.  Window sums accumulate pixel by pixel in row-major window
-order from +0.0 and skip only adds that would land in the padding.  That
-order fixes every rounding, so it keeps checkpoints and reports
-byte-identical and must not change; tests/pool_reference.py and
-tests/conv_reference.py hold the former padded kernels it must match.  A
-stride-1 conv folds its input gradient through contiguous slices instead
-(``_fold_stride1``), with the same float32 bits.
+Convolution writes im2col columns straight from the unpadded activation for
+one matmul (a 1x1 stride-1 conv uses the input itself); a training forward
+hands them to the backward (``with_cols``).  Pooling forwards read strided
+window views (``_windows``) of a bordered input; the avg and mask pooling
+backwards and the strided conv fold (``_fold``) add each window pixel's
+in-image part (``_taps``) into the unpadded gradient, in row-major window
+order from +0.0.  That order fixes every rounding, so it keeps checkpoints and
+reports byte-identical and must not change; the padded kernels in
+tests/pool_reference.py and tests/conv_reference.py pin it.  ``_fold_stride1``
+folds a stride-1 conv through contiguous slices instead, same float32 bits.
 """
 
 from __future__ import annotations
@@ -125,10 +122,8 @@ def _windows(xp: Array, kernel: int, stride: int, oh: int, ow: int) -> list:
 
 
 def _taps(h: int, w: int, kernel: int, stride: int, padding: int, oh: int, ow: int) -> list:
-    """Per window pixel, in row-major window order, an (out, inp) index pair:
-    ``out`` picks the part of the (oh, ow) output grid where that pixel lies
-    inside the unpadded (h, w) input, ``inp`` the input pixels it reads there.
-    Both are empty where the pixel lies in the padding of every window."""
+    """Per window pixel, in row-major window order, (out, inp) indices: the part of the (oh, ow)
+    output grid where the pixel lies inside the (h, w) input, and the input pixels it reads there."""
     def spans(size, n_out):
         for i in range(kernel):
             lo = min(n_out, max(0, -((i - padding) // stride)))  # first window inside
@@ -139,13 +134,10 @@ def _taps(h: int, w: int, kernel: int, stride: int, padding: int, oh: int, ow: i
 
 
 def _crop(xp: Array, padding: int) -> Array:
-    if padding:
-        return xp[:, :, padding:-padding, padding:-padding]
-    return xp
+    return xp[:, :, padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
 
 
 def _pad(x: Array, padding: int, value: float = 0.0) -> Array:
-    """x inside a border of ``value``, for the pooling forwards' window views."""
     if padding == 0:
         return x
     n, c, h, w = x.shape
@@ -168,16 +160,14 @@ def window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Arr
 # ---------------------------------------------------------------------------
 
 def _conv_cols(x: Array, kernel: int, stride: int, padding: int, oh: int, ow: int) -> Array:
-    """(n, c*kernel*kernel, oh*ow) im2col columns, written straight from the
-    unpadded input: each window pixel's slab copies its in-image part and
-    zeroes the rest.  A 1x1 stride-1 conv's columns are the input itself."""
+    """(n, c*kernel*kernel, oh*ow) im2col columns of the unpadded input: each window
+    pixel's slab copies its in-image part and zeroes the windows where it lies in the padding."""
     n, c, h, w = x.shape
     if kernel == 1 and stride == 1 and padding == 0:
         return x.reshape(n, c, h * w)
     cols = np.empty((n, c, kernel * kernel, oh, ow), dtype=x.dtype)
     for k, (out, inp) in enumerate(_taps(h, w, kernel, stride, padding, oh, ow)):
         slab, rows, cs = cols[:, :, k], out[1], out[2]
-        # zero the windows where this pixel lies in the padding, copy the rest
         slab[..., :rows.start, :] = slab[..., rows.stop:, :] = 0
         slab[..., rows, :cs.start] = slab[..., rows, cs.stop:] = 0
         slab[out] = x[inp]
@@ -206,15 +196,13 @@ def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0,
     return (y, cols) if with_cols else y
 
 
-def _fold(gcols: Array, shape, kernel: int, stride: int, padding: int, oh: int, ow: int) -> Array:
-    """Input gradient from (n, c*kernel*kernel, oh*ow) columns: each window
-    pixel's in-image part is added straight into the unpadded gradient, in
-    row-major window order from +0.0."""
-    n, c, h, w = shape
-    gx = np.zeros(shape, dtype=gcols.dtype)
-    gcols = gcols.reshape(n, c, kernel * kernel, oh, ow)
+def _fold(parts: Array, shape, kernel: int, stride: int, padding: int) -> Array:
+    """Input gradient of ``shape`` from (n, c, kernel*kernel, oh, ow) window pixel parts, each
+    pixel's in-image part added into the unpadded gradient in row-major window order."""
+    (h, w), (oh, ow) = shape[2:], parts.shape[3:]
+    gx = np.zeros(shape, dtype=parts.dtype)
     for k, (out, inp) in enumerate(_taps(h, w, kernel, stride, padding, oh, ow)):
-        gx[inp] += gcols[:, :, k][out]
+        gx[inp] += parts[:, :, k][out]
     return gx
 
 
@@ -279,7 +267,7 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
     # numpy multiplies by a single column (oh*ow == 1) with gemv, not gemm
     if stride == 1 and oh * ow > 1 and np.isfinite(wt).all():
         return _fold_stride1(wt, grad_out, x.shape, kh, padding)
-    return _fold(np.matmul(wt, g), x.shape, kh, stride, padding, oh, ow)
+    return _fold(np.matmul(wt, g).reshape(n, ic, kh * kw, oh, ow), x.shape, kh, stride, padding)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +296,7 @@ def relu_backward(x: Array, grad_out: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 def _flat_index(argmax: Array, padded_shape, kernel: int, stride: int) -> Array:
-    """Flat index into the padded (n, c, H, W) buffer of each window's argmax pixel:
-    the pixel's offset in its window, plus the window's origin, plus its plane's."""
+    """Flat index into the padded (n, c, H, W) buffer of each window's argmax pixel."""
     n, c, hp, wp = padded_shape
     oh, ow = argmax.shape[2:]
     flat = np.take((np.arange(kernel)[:, None] * wp + np.arange(kernel)).reshape(-1), argmax)
@@ -331,9 +318,8 @@ def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
     top = views[0].copy()
     for v in views[1:]:
         np.maximum(top, v, out=top)  # propagates NaN
-    # argmax counts the window pixels before the first one equal to the
-    # maximum (or NaN, when the maximum is NaN), in the narrowest integer type
-    # that holds kernel*kernel - 1 (uint8 adds are cheaper than intp ones)
+    # argmax counts the window pixels before the first one equal to the maximum (or NaN,
+    # when that is NaN) in the narrowest integer type that fits: uint8 adds beat intp ones
     nan = np.isnan(top).any()
     argmax = np.zeros(top.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
     before = np.ones(top.shape, dtype=bool)
@@ -386,10 +372,8 @@ def avgpool2d_backward(x: Array, grad_out: Array, kernel: int, stride: int, padd
     if grad_out.shape != (n, c, oh, ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
     share = (grad_out / window_counts(h, w, kernel, stride, padding)).astype(x.dtype, copy=False)
-    gx = np.zeros(x.shape, dtype=x.dtype)
-    for out, inp in _taps(h, w, kernel, stride, padding, oh, ow):
-        gx[inp] += share[out]
-    return gx
+    every_pixel = np.broadcast_to(share[:, :, None], (n, c, kernel * kernel, oh, ow))
+    return _fold(every_pixel, x.shape, kernel, stride, padding)
 
 
 # ---------------------------------------------------------------------------

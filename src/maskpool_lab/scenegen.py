@@ -29,6 +29,7 @@ from .errors import ConfigurationError, ParseError, load_json, write_json
 
 DEFAULT_CLASSES = ("circle", "square", "triangle")
 DEFAULT_TEXTURES = ("stripes", "checker", "noise", "gradient")
+DEFAULT_SIZE_RANGE = (16, 44)  # object sizes in px
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +349,24 @@ def _generate_record(index: int, image_size: int, classes, textures, bias: BiasS
     return rec
 
 
+def check_size_range(image_size: int, size_range=DEFAULT_SIZE_RANGE) -> None:
+    """ConfigurationError unless objects up to ``size_range[1]`` px fit with a 4 px margin."""
+    if size_range[1] >= image_size - 4:
+        raise ConfigurationError(f"image_size {image_size} leaves no room for objects of {size_range[1]} px")
+
+
 def generate_dataset(n_images: int, image_size: int = 128,
                      classes=DEFAULT_CLASSES, textures=DEFAULT_TEXTURES,
                      bias: BiasSpec | None = None,
                      objects_per_image=(1, 4), seed: int = 0,
-                     out_dir=None, size_range=(16, 44)) -> "DatasetManifest | list":
+                     out_dir=None, size_range=DEFAULT_SIZE_RANGE) -> "DatasetManifest | list":
     """Generate a biased dataset; writes it under out_dir when given, else
     returns the list of in-memory records."""
     if n_images < 1:
         raise ConfigurationError("n_images must be >= 1")
     if objects_per_image[0] < 1 or objects_per_image[0] > objects_per_image[1]:
         raise ConfigurationError(f"bad objects_per_image range {objects_per_image}")
-    if size_range[1] >= image_size - 4:
-        raise ConfigurationError("object size range does not fit the image")
+    check_size_range(image_size, size_range)
     bias = bias or BiasSpec.uniform(len(classes), len(textures))
     if bias.matrix.shape != (len(classes), len(textures)):
         raise ConfigurationError(f"bias matrix shape {bias.matrix.shape} != "

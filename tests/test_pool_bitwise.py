@@ -23,9 +23,9 @@ from maskpool_lab import maskpool, nn
 # inf and NaN inputs raise numpy's invalid-value warnings in both implementations
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-# (kernel, stride, padding): fixed geometries of the hand tests; the
-# property tests draw any legal one
-GEOMETRIES = [(2, 2, 0), (3, 1, 0), (3, 2, 1), (3, 2, 2)]
+# (kernel, stride, padding): the geometries the operator tests use; (3, 2, 1)
+# is the detector's pooling slot
+GEOMETRIES = [(2, 2, 0), (3, 1, 0), (3, 2, 1)]
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.inf, -np.inf, np.nan]
 
@@ -62,14 +62,21 @@ def values(draw, dtype, shape):
 
 
 @st.composite
-def pool_case(draw):
-    kernel, stride = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    # up to kernel - 1, the most that leaves every window a valid pixel:
-    # border windows then hold a single one
-    padding = draw(st.integers(0, kernel - 1))
+def pool_case(draw, wide=False):
+    """A pooling case on one of GEOMETRIES or, when ``wide``, on any kernel
+    1-4, stride 1-3 and padding up to kernel - 1, the most that leaves every
+    window a valid pixel (border windows then hold a single one).  The wide
+    draw has tests of its own, so the pinned geometries keep their share."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    low = max(1, kernel - 2 * padding)  # the smallest legal h and w
-    h, w = (draw(st.one_of(st.just(low), st.integers(low, low + 6))) for _ in range(2))
+    if wide:
+        kernel, stride = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        padding = draw(st.integers(0, kernel - 1))
+        low = max(1, kernel - 2 * padding)  # the smallest legal h and w
+        h, w = (draw(st.one_of(st.just(low), st.integers(low, low + 6))) for _ in range(2))
+    else:
+        kernel, stride, padding = draw(st.sampled_from(GEOMETRIES))
+        # from size 4 every pinned geometry has at least two windows per axis
+        h, w = draw(st.integers(4, 9)), draw(st.integers(4, 9))
     oh, ow = nn.out_size(h, kernel, stride, padding), nn.out_size(w, kernel, stride, padding)
     assume(oh * ow >= 2)
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
@@ -81,8 +88,8 @@ def pool_case(draw):
 
 
 @st.composite
-def mask_case(draw):
-    x, g, kernel, stride, padding = draw(pool_case())
+def mask_case(draw, wide=False):
+    x, g, kernel, stride, padding = draw(pool_case(wide))
     n, _, h, w = x.shape
     kind = draw(st.sampled_from(["random", "fg", "bg"]))
     shape = draw(st.sampled_from([(h, w), (n, h, w)]))
@@ -93,16 +100,44 @@ def mask_case(draw):
     return x, g, m, kernel, stride, padding
 
 
+def check_maxpool(case):
+    x, g, kernel, stride, padding = case
+    y, argmax = nn.maxpool2d_forward(x, kernel, stride, padding)
+    y_ref, argmax_ref = ref.maxpool2d_forward(x, kernel, stride, padding)
+    assert_bitwise(y, y_ref, nan_payload=True)
+    assert_bitwise(argmax, argmax_ref)
+    gx = nn.maxpool2d_backward(x, argmax, g, kernel, stride, padding)
+    assert_bitwise(gx, ref.maxpool2d_backward(x, argmax_ref, g, kernel, stride, padding))
+
+
+def check_avgpool(case):
+    x, g, kernel, stride, padding = case
+    assert_bitwise(nn.avgpool2d_forward(x, kernel, stride, padding),
+                   ref.avgpool2d_forward(x, kernel, stride, padding))
+    assert_bitwise(nn.avgpool2d_backward(x, g, kernel, stride, padding),
+                   ref.avgpool2d_backward(x, g, kernel, stride, padding))
+
+
+def check_maskpool(case):
+    x, g, m, kernel, stride, padding = case
+    y, record = maskpool.maskpool2d_forward(x, m, kernel, stride, padding)
+    y_ref, record_ref = ref.maskpool2d_forward(x, m, kernel, stride, padding)
+    assert_bitwise(y, y_ref)
+    assert_bitwise(record.branch_fg, record_ref.branch_fg)
+    assert_bitwise(record.counts, record_ref.counts)
+    assert (record.kernel, record.stride, record.padding) == (kernel, stride, padding)
+    assert_bitwise(maskpool.maskpool2d_backward(x, m, g, record),
+                   ref.maskpool2d_backward(x, m, g, record_ref))
+
+
 class TestMaxPool:
     @given(pool_case())
     def test_forward_and_backward(self, case):
-        x, g, kernel, stride, padding = case
-        y, argmax = nn.maxpool2d_forward(x, kernel, stride, padding)
-        y_ref, argmax_ref = ref.maxpool2d_forward(x, kernel, stride, padding)
-        assert_bitwise(y, y_ref, nan_payload=True)
-        assert_bitwise(argmax, argmax_ref)
-        gx = nn.maxpool2d_backward(x, argmax, g, kernel, stride, padding)
-        assert_bitwise(gx, ref.maxpool2d_backward(x, argmax_ref, g, kernel, stride, padding))
+        check_maxpool(case)
+
+    @given(pool_case(wide=True))
+    def test_forward_and_backward_wide(self, case):
+        check_maxpool(case)
 
     def test_nan_and_signed_zero_selection(self):
         x = np.array([[-0.0, 0.0, 0.0],
@@ -133,28 +168,24 @@ class TestMaxPool:
 class TestAvgPool:
     @given(pool_case())
     def test_forward_and_backward(self, case):
-        x, g, kernel, stride, padding = case
-        assert_bitwise(nn.avgpool2d_forward(x, kernel, stride, padding),
-                       ref.avgpool2d_forward(x, kernel, stride, padding))
-        assert_bitwise(nn.avgpool2d_backward(x, g, kernel, stride, padding),
-                       ref.avgpool2d_backward(x, g, kernel, stride, padding))
+        check_avgpool(case)
+
+    @given(pool_case(wide=True))
+    def test_forward_and_backward_wide(self, case):
+        check_avgpool(case)
 
 
 class TestMaskPool:
     @given(mask_case())
     def test_forward_record_and_backward(self, case):
-        x, g, m, kernel, stride, padding = case
-        y, record = maskpool.maskpool2d_forward(x, m, kernel, stride, padding)
-        y_ref, record_ref = ref.maskpool2d_forward(x, m, kernel, stride, padding)
-        assert_bitwise(y, y_ref)
-        assert_bitwise(record.branch_fg, record_ref.branch_fg)
-        assert_bitwise(record.counts, record_ref.counts)
-        assert (record.kernel, record.stride, record.padding) == (kernel, stride, padding)
-        assert_bitwise(maskpool.maskpool2d_backward(x, m, g, record),
-                       ref.maskpool2d_backward(x, m, g, record_ref))
+        check_maskpool(case)
+
+    @given(mask_case(wide=True))
+    def test_forward_record_and_backward_wide(self, case):
+        check_maskpool(case)
 
 
-@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES + [(3, 2, 2)])
 def test_sums_start_from_positive_zero(kernel, stride, padding):
     # a window of -0.0 sums to +0.0, as in the reference
     x = np.full((1, 1, 5, 5), -0.0, np.float32)

@@ -22,7 +22,9 @@ verdict:
   unresolved  the parent's quartile range is wider than the bound, and not
               every change run beat every parent run;
   within      none of these: no worse than the bound.
-Raw values go to ``<scratch>/pairs.json``.
+Raw values go to ``<scratch>/pairs.json``, rewritten after every run.  A run
+that exits non-zero stops the script with exit status 1, after printing its
+workload, side, seed, exit code and the end of its stderr.
 
 Usage:
     python3 scripts/bench_pairs.py HEAD~1 --seed 6101 --pairs 10 --scratch /tmp/pairs
@@ -53,11 +55,17 @@ def export(rev: str, dest: Path) -> Path:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """{metric: value} of one --trace 0 run, plus "correct"."""
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                          "--seconds", str(seconds), "--trace", "0"],
-                         cwd=tree, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    """{metric: value} of one --trace 0 run, plus "correct".  The side is the tree's
+    directory name; a failed run raises SystemExit(1)."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "".join(f"  {line}\n" for line in proc.stderr.splitlines()[-15:])
+        print(f"{workload} {tree.name} seed {seed}: perfbench/run.py exited {proc.returncode}\n{tail}",
+              end="", file=sys.stderr)
+        raise SystemExit(1)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], **{k: m["value"] for k, m in result["metrics"].items()}}
 
 
@@ -108,10 +116,10 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 runs[side].append(run(trees[side], workload, args.seed + i, bench["run_seconds"]))
+                (args.scratch / "pairs.json").write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
                 print(f"{workload} seed {args.seed + i} {side}: "
                       + " ".join(f"{m['name']}={runs[side][-1][m['name']]:.4g}" for m in bench["end_to_end"]),
                       flush=True)
-    (args.scratch / "pairs.json").write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
 
     for workload, runs in results.items():
         incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}

@@ -348,8 +348,10 @@ def forward(model: Model, image_batch: np.ndarray, levels=None,
 
 def images_to_tensor(images: np.ndarray) -> np.ndarray:
     """(n, h, w, 3) uint8 -> (n, 3, h, w) float32 in [-0.5, 0.5]."""
-    x = np.asarray(images, dtype=np.float32) / 255.0 - 0.5
-    return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+    x = np.asarray(images).transpose(0, 3, 1, 2).astype(np.float32, order="C")
+    x /= 255.0  # in place: the same float32 operations as ``x / 255.0 - 0.5``
+    x -= 0.5
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +411,9 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
 
 
-def decode(head: DetHeadOutput, cfg: ModelConfig):
-    """Per image: every (cell, class) with sigmoid(obj)*softmax(class) above the
-    score threshold emits a box; degenerate (zero-extent) boxes are dropped.
-
-    Detections come per image in (class, row, col) order, with plain Python
-    int/float fields; a box with a NaN edge is not degenerate and is kept."""
+def _candidates(head: DetHeadOutput, cfg: ModelConfig):
+    """``decode``'s candidates as arrays: the per-image bounds into them, then each
+    candidate's class, score, cell and (x0, y0, x1, y1) box."""
     n, num_classes, g, _ = head.class_logits.shape
     stride = cfg.grid_stride
     obj = _sigmoid(head.objectness)[:, 0]
@@ -431,11 +430,53 @@ def decode(head: DetHeadOutput, cfg: ModelConfig):
     box = np.stack([np.maximum(ccx - l, 0.0), np.maximum(ccy - t, 0.0),
                     np.minimum(ccx + r, size), np.minimum(ccy + b, size)], axis=1)
     keep = ~((box[:, 2] <= box[:, 0]) | (box[:, 3] <= box[:, 1]))
-    fields = zip(cls[keep].tolist(), score[keep].tolist(), box[keep].tolist(),
-                 (row * g + col)[keep].tolist())
-    dets = [Detection(c, s, tuple(bx), cell) for c, s, bx, cell in fields]
     bounds = np.searchsorted(img[keep], np.arange(n + 1)).tolist()
+    return bounds, cls[keep], score[keep], (row * g + col)[keep], box[keep]
+
+
+def _detections(cls, score, cell, box) -> list:
+    return [Detection(c, s, tuple(bx), k)
+            for c, s, bx, k in zip(cls.tolist(), score.tolist(), box.tolist(), cell.tolist())]
+
+
+def decode(head: DetHeadOutput, cfg: ModelConfig):
+    """Per image: every (cell, class) with sigmoid(obj)*softmax(class) above the
+    score threshold emits a box; degenerate (zero-extent) boxes are dropped.
+
+    Detections come per image in (class, row, col) order, with plain Python
+    int/float fields; a box with a NaN edge is not degenerate and is kept."""
+    bounds, *candidates = _candidates(head, cfg)
+    dets = _detections(*candidates)
     return [dets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _nms_kept(cls, score, cell, box, iou_thresh: float) -> np.ndarray:
+    """Indices of the candidates that ``nms`` keeps, in its output order."""
+    order = np.lexsort((cell, -score, cls))  # stable: exact ties keep input order
+    if order.size < 2:
+        return order
+    b, c = box[order], cls[order]
+    # (i, j): candidate i and each higher-ranked j of its class
+    rank = np.arange(order.size)
+    above = rank - np.searchsorted(c, c)
+    i = np.repeat(rank, above)
+    j = np.arange(i.size) - np.repeat(np.cumsum(above) - rank, above)
+    if iou_thresh > 0:
+        # finite boxes of positive extent that do not overlap have IoU 0.0; every
+        # other box is widened to the whole plane, so its pairs all remain
+        whole = np.isfinite(b).all(axis=1) & (b[:, 2] > b[:, 0]) & (b[:, 3] > b[:, 1])
+        x0, y0, x1, y1 = np.where(whole[:, None], b, [-np.inf, -np.inf, np.inf, np.inf]).T
+        near = (x0[j] < x1[i]) & (x0[i] < x1[j]) & (y0[j] < y1[i]) & (y0[i] < y1[j])
+        i, j = i[near], j[near]
+    suppresses = ~(iou_matrix(b[i, None], b[j, None])[:, 0, 0] < iou_thresh)
+    i, j = i[suppresses], j[suppresses]
+    # greedy NMS is the one fixed point of "i is kept iff no kept j suppresses it"
+    keep, last = np.ones(order.size, dtype=bool), None
+    while last is None or not np.array_equal(keep, last):
+        last, keep = keep, np.ones_like(keep)
+        keep[i[last[j]]] = False
+    kept = order[keep]
+    return kept[np.lexsort((cls[kept], cell[kept], -score[kept]))]
 
 
 def nms(dets, iou_thresh: float):
@@ -446,26 +487,22 @@ def nms(dets, iou_thresh: float):
     the caller's Detection objects by (-score, cell, class); exact ties keep
     their input order."""
     dets = list(dets)
-    if len(dets) < 2:  # nothing to rank or suppress; most images of an untrained model
-        return dets
-    cls = np.array([d.class_id for d in dets], dtype=np.int64)
-    score = np.array([d.score for d in dets], dtype=np.float64)
-    cell = np.array([d.cell for d in dets], dtype=np.int64)
-    order = np.lexsort((cell, -score, cls))  # stable: exact ties keep input order
-    box = np.array([dets[i].box for i in order.tolist()], dtype=np.float64)
-    c = cls[order]
-    bounds = [0, *(np.flatnonzero(c[1:] != c[:-1]) + 1).tolist(), len(dets)]
-    keep = np.ones(len(dets), dtype=bool)
-    for lo, hi in zip(bounds, bounds[1:]):  # one class per block, best first
-        # suppressed[i, j]: candidate i falls to the higher-ranked j if j is kept
-        suppressed = ~(iou_matrix(box[lo:hi], box[lo:hi]) < iou_thresh)
-        block = keep[lo:hi]
-        for j in range(hi - lo):
-            if block[j]:
-                block[j + 1:] &= ~suppressed[j + 1:, j]
-    kept = order[keep]
-    kept = kept[np.lexsort((cls[kept], cell[kept], -score[kept]))]
-    return [dets[i] for i in kept.tolist()]
+    kept = _nms_kept(np.array([d.class_id for d in dets], dtype=np.int64),
+                     np.array([d.score for d in dets], dtype=np.float64),
+                     np.array([d.cell for d in dets], dtype=np.int64),
+                     np.array([d.box for d in dets], dtype=np.float64), iou_thresh)
+    return [dets[k] for k in kept.tolist()]
+
+
+def detect(head: DetHeadOutput, cfg: ModelConfig):
+    """``[nms(d, cfg.nms_iou) for d in decode(head, cfg)]``, building Detections
+    only for the candidates NMS keeps."""
+    bounds, cls, score, cell, box = _candidates(head, cfg)
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        k = lo + _nms_kept(cls[lo:hi], score[lo:hi], cell[lo:hi], box[lo:hi], cfg.nms_iou)
+        out.append(_detections(cls[k], score[k], cell[k], box[k]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,7 @@ def evaluate_records(model, records, class_names, levels=None,
             rows = lv and {s: m[start:start + batch_size] for s, m in lv.items()}
             raw = detector.Pass(op_lists[k][split:], model, rows, w).forward(x)
             head = detector.DetHeadOutput.from_raw(raw, cfg.num_classes)
-            for rec, d in zip(chunk, detector.decode(head, cfg)):
-                dets[k][rec.image_id] = detector.nms(d, cfg.nms_iou)
+            dets[k].update(zip([r.image_id for r in chunk], detector.detect(head, cfg)))
 
         _map_ordered(finish, range(len(settings)), threads)
     gts_by_image = {r.image_id: r.instances for r in records}

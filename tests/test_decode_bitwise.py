@@ -1,9 +1,10 @@
-"""Decode and per-class NMS against the scalar versions in
+"""Decode, per-class NMS and the fused ``detect`` against the scalar versions in
 tests/decode_reference.py: the same detections, in the same order, with the
 same plain Python field types, compared through ``repr`` (which round-trips
 every float, including -0.0, inf and nan) and object identity, on random
 heads and hand-built detection lists, plus one report compared byte for byte."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,34 @@ def test_nms_matches_reference_on_hand_built_lists(case):
     assert_same_nms(*case)
 
 
+@settings(max_examples=60)
+@given(detection_lists())
+def test_nms_at_threshold_zero_matches_reference(case):
+    # no pair can be skipped: IoU 0.0 is not below 0.0, so every pair suppresses
+    assert_same_nms(case[0], 0.0)
+
+
+@settings(max_examples=120)
+@given(heads(), st.one_of(st.sampled_from(THRESHOLDS), st.floats(0.0, 1.0, exclude_min=True)))
+def test_detect_matches_reference_decode_then_nms(case, thr):
+    head, cfg = case
+    cfg = dataclasses.replace(cfg, nms_iou=thr)
+    with np.errstate(all="ignore"):
+        new = detector.detect(head, cfg)
+        old = [ref.nms(d, cfg.nms_iou) for d in ref.decode(head, cfg)]
+    assert isinstance(new, list) and len(new) == len(old)
+    for a, b in zip(new, old):
+        assert isinstance(a, list) and fingerprint(a) == fingerprint(b)
+
+
+def test_suppression_chain_keeps_every_other_box():
+    # 10 px boxes shifted 3 px: only neighbours reach IoU 0.5 (7/13), so each kept
+    # box frees the next but one, and the fixed point takes a round per link
+    dets = [detector.Detection(0, 1.0 - k / 100, (3.0 * k, 0.0, 3.0 * k + 10, 10.0), cell=k)
+            for k in range(40)]
+    assert assert_same_nms(dets, 0.5) == dets[0::2]
+
+
 def test_empty_and_single():
     cfg = detector.ModelConfig(image_size=16)
     empty = np.zeros((0, 1, 2, 2), np.float32)
@@ -168,11 +197,11 @@ def test_random_bg_report_bytes_match_reference(tmp_path, monkeypatch):
     ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=30, seed=2)
     ckpt.tensors["head.bias"][0] += 3.0  # raise objectness so that cells emit boxes
     pool = scenegen.generate_bg_pool(4, 64, seed=1)
-    decode, candidates = detector.decode, []
+    detect, kept = detector.detect, []
 
-    def counting_decode(head, model_cfg):
-        out = decode(head, model_cfg)
-        candidates.append(sum(len(d) for d in out))
+    def counting_detect(head, model_cfg):  # a batch with any candidate keeps at least one
+        out = detect(head, model_cfg)
+        kept.append(sum(len(d) for d in out))
         return out
 
     def report_bytes(name):
@@ -180,9 +209,10 @@ def test_random_bg_report_bytes_match_reference(tmp_path, monkeypatch):
         rep.write_json(tmp_path / name)
         return (tmp_path / name).read_bytes()
 
-    monkeypatch.setattr(detector, "decode", counting_decode)
+    monkeypatch.setattr(detector, "detect", counting_detect)
     new = report_bytes("new.json")
-    assert sum(candidates) > 0
-    monkeypatch.setattr(detector, "decode", ref.decode)
-    monkeypatch.setattr(detector, "nms", ref.nms)
+    assert sum(kept) > 0
+    monkeypatch.setattr(detector, "detect",
+                        lambda head, model_cfg: [ref.nms(d, model_cfg.nms_iou)
+                                                 for d in ref.decode(head, model_cfg)])
     assert report_bytes("ref.json") == new

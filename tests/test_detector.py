@@ -9,6 +9,7 @@ import pytest
 import conv_reference
 import plan_reference as plan_ref
 import pool_reference as ref
+import tensor_reference
 from maskpool_lab import detector, maskpool, nn, scenegen
 from maskpool_lab.errors import ConfigurationError, ParseError, TrainingDiverged
 
@@ -231,6 +232,19 @@ class TestLoss:
         exclude[:, 4:] = np.abs(d) < 1e-2
         err = nn.grad_check(fwd, bwd, raw, grad_out=np.ones(()), exclude=exclude, rng=rng)
         assert err < 1e-3
+
+
+IMAGES = np.random.default_rng(7).integers(0, 256, (16, 24, 32, 3), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("images", [IMAGES[:0], IMAGES[:1], IMAGES, list(IMAGES[:3]),
+                                    IMAGES[np.array([5, 0, 5, 11])]],
+                         ids=["0", "1", "16", "list", "fancy-indexed"])
+def test_images_to_tensor_bits_match_reference(images):
+    x = detector.images_to_tensor(images)
+    want = tensor_reference.images_to_tensor(images)
+    assert x.dtype == np.float32 and x.flags.c_contiguous and x.shape == want.shape
+    assert np.array_equal(x.view(np.uint32), want.view(np.uint32))
 
 
 class TestDecodeNms:

@@ -226,11 +226,11 @@ def test_random_bg_report_bytes_match_reference(tmp_path, monkeypatch):
     ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=30, seed=2)
     ckpt.tensors["head.bias"][0] += 3.0  # raise objectness so that cells emit boxes
     pool = scenegen.generate_bg_pool(4, 64, seed=1)
-    decode, candidates = detector.decode, []
+    detect, kept = detector.detect, []
 
-    def counting_decode(head, model_cfg):
-        out = decode(head, model_cfg)
-        candidates.append(sum(len(d) for d in out))
+    def counting_detect(head, model_cfg):  # a batch with any candidate keeps at least one
+        out = detect(head, model_cfg)
+        kept.append(sum(len(d) for d in out))
         return out
 
     def report_bytes(name):
@@ -238,9 +238,9 @@ def test_random_bg_report_bytes_match_reference(tmp_path, monkeypatch):
         rep.write_json(tmp_path / name)
         return (tmp_path / name).read_bytes()
 
-    monkeypatch.setattr(detector, "decode", counting_decode)
+    monkeypatch.setattr(detector, "detect", counting_detect)
     new = report_bytes("new.json")
-    assert sum(candidates) > 0
+    assert sum(kept) > 0
     monkeypatch.setattr(metrics, "map50", ref.map50)
     monkeypatch.setattr(metrics, "hierarchical_f1", ref.hierarchical_f1)
     assert report_bytes("ref.json") == new

@@ -262,6 +262,25 @@ class TestCompositing:
         both_bg = (recs[0].fg_mask == 0) & (recs[1].fg_mask == 0)
         assert np.array_equal(outs[0].image[both_bg], outs[1].image[both_bg])
 
+    @pytest.mark.parametrize("bg_shape", [(64, 64, 3), (30, 90, 3), (100, 70, 3)])
+    def test_hard_paste_is_where_mask_is_one(self, rng, bg_shape):
+        rec = record_fixture()
+        mask = rng.choice(np.array([0, 1, 2, 255], np.uint8), size=rec.fg_mask.shape)
+        rec = scenegen.ImageRecord(rec.image_id, rec.image, mask, rec.instances)
+        bg = rng.integers(0, 256, bg_shape, dtype=np.uint8)
+        out = scenegen.composite_with_bg(rec, bg)
+        want = np.where(mask[..., None] == 1, rec.image, scenegen._fit_bg(bg, 64, 64))
+        assert out.image.dtype == np.uint8 and np.array_equal(out.image, want)
+
+    def test_swaps_leave_the_pool_untouched(self, rng):
+        recs = scenegen.generate_dataset(3, 64, seed=3)
+        pool = [rng.integers(0, 256, (64, 64, 3), dtype=np.uint8) for _ in range(2)]
+        before = [p.copy() for p in pool]
+        outs = [scenegen.composite_random_bg(r, pool, seed=4) for r in recs]
+        outs += scenegen.composite_fixed_bg(recs, pool[0])
+        assert all(np.array_equal(p, b) for p, b in zip(pool, before))
+        assert not any(np.shares_memory(o.image, p) for o in outs for p in pool)
+
     def test_fit_bg_scales_and_crops(self, rng):
         bg = rng.integers(0, 255, (30, 90, 3)).astype(np.uint8)
         fitted = scenegen._fit_bg(bg, 64, 64)

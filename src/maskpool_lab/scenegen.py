@@ -489,8 +489,8 @@ def generate_bg_pool(n: int, size: int, seed: int = 0) -> list:
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i, 97)))
         coarse = rng.uniform(0, 255, (5, 5, 3))
-        img = np.clip(_bilinear_resize(coarse, size, size), 0, 255).astype(np.uint8)
-        pool.append(img)
+        # C order: compositing reads the image as it is, and a strided one is 4x slower there
+        pool.append(np.clip(_bilinear_resize(coarse, size, size), 0, 255).astype(np.uint8, order="C"))
     return pool
 
 

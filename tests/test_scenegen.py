@@ -290,3 +290,4 @@ class TestCompositing:
         a = scenegen.generate_bg_pool(3, 64, seed=5)
         b = scenegen.generate_bg_pool(3, 64, seed=5)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert all(x.flags.c_contiguous for x in a)  # compositing reads them as they are

@@ -22,13 +22,17 @@ verdict:
   unresolved  the parent's quartile range is wider than the bound, and not
               every change run beat every parent run;
   within      none of these: no worse than the bound.
-Raw values go to ``<scratch>/pairs.json``, rewritten after every run.  A run
-that exits non-zero stops the script with exit status 1, after printing its
-workload, side, seed, exit code and the end of its stderr.
+Raw values go to ``<scratch>/pairs.json``, rewritten after every run.  With
+``--json-out PATH`` the script also writes one file with both commits, the
+machine (CPU model, cores, numpy, BLAS, as the first run printed them), the
+seeds and, per workload and end-to-end metric, both sides' raw values,
+medians and quartiles, the wins and the verdict.  A run that exits non-zero
+stops the script with exit status 1, after printing its workload, side,
+seed, exit code and the end of its stderr.
 
 Usage:
     python3 scripts/bench_pairs.py HEAD~1 --seed 6101 --pairs 10 --scratch /tmp/pairs
-    python3 scripts/bench_pairs.py main --seed 7101 --workloads train --scratch /tmp/p
+    python3 scripts/bench_pairs.py main --seed 7101 --workloads train --scratch /tmp/p --json-out BENCH_x.json
 """
 
 import argparse
@@ -55,8 +59,8 @@ def export(rev: str, dest: Path) -> Path:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """{metric: value} of one --trace 0 run, plus "correct".  The side is the tree's
-    directory name; a failed run raises SystemExit(1)."""
+    """{metric: value} of one --trace 0 run, plus "correct" and the "env" that run.py
+    printed.  The side is the tree's directory name; a failed run raises SystemExit(1)."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
@@ -65,8 +69,10 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         print(f"{workload} {tree.name} seed {seed}: perfbench/run.py exited {proc.returncode}\n{tail}",
               end="", file=sys.stderr)
         raise SystemExit(1)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"correct": result["correct"], **{k: m["value"] for k, m in result["metrics"].items()}}
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    env = next((json.loads(line[len("env "):]) for line in lines if line.startswith("env ")), None)
+    return {"correct": result["correct"], "env": env, **{k: m["value"] for k, m in result["metrics"].items()}}
 
 
 def verdict(metric: dict, parent: list, change: list, more_incorrect: bool) -> tuple:
@@ -86,9 +92,23 @@ def verdict(metric: dict, parent: list, change: list, more_incorrect: bool) -> t
     return wins, "within"
 
 
-def summary(values: list) -> str:
+def stats(values: list) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{statistics.median(values):10.4g} [{q1:.4g}, {q3:.4g}]"
+    return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def compare(bench: dict, runs: dict) -> dict:
+    """One workload's incorrect-run counts and, per end-to-end metric, both sides'
+    ``stats``, the pairs the change won and the verdict."""
+    incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
+    metrics = {}
+    for metric in bench["end_to_end"]:
+        sides = {side: stats([r[metric["name"]] for r in runs[side]]) for side in ("parent", "change")}
+        wins, word = verdict(metric, sides["parent"]["values"], sides["change"]["values"],
+                             incorrect["change"] > incorrect["parent"])
+        metrics[metric["name"]] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+                                   **sides, "wins": wins, "verdict": word}
+    return {"incorrect": incorrect, "metrics": metrics}
 
 
 def main(argv=None) -> int:
@@ -100,12 +120,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]],
                         choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--scratch", type=Path, required=True, help="new directory for the two trees")
+    parser.add_argument("--json-out", type=Path, help="write commits, machine, seeds and every comparison here")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
-    trees = {"parent": export(git("rev-parse", args.parent), args.scratch / "parent"),
-             "change": export(git("stash", "create") or "HEAD", args.scratch / "change")}
+    commits = {"parent": git("rev-parse", args.parent), "change": git("stash", "create") or git("rev-parse", "HEAD")}
+    trees = {side: export(commit, args.scratch / side) for side, commit in commits.items()}
     results, warm = {}, set()
     for workload in args.workloads:
         runs = results[workload] = {"parent": [], "change": []}
@@ -121,18 +142,24 @@ def main(argv=None) -> int:
                       + " ".join(f"{m['name']}={runs[side][-1][m['name']]:.4g}" for m in bench["end_to_end"]),
                       flush=True)
 
-    for workload, runs in results.items():
-        incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
+    compared = {workload: compare(bench, runs) for workload, runs in results.items()}
+    for workload, report in compared.items():
+        incorrect = report["incorrect"]
         print(f"\n{workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
               f"--seconds {bench['run_seconds']:g}; incorrect runs: parent {incorrect['parent']}, "
               f"change {incorrect['change']}")
         print(f"{'metric':<20} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}   wins  verdict")
-        for metric in bench["end_to_end"]:
-            parent = [r[metric["name"]] for r in runs["parent"]]
-            change = [r[metric["name"]] for r in runs["change"]]
-            wins, word = verdict(metric, parent, change, incorrect["change"] > incorrect["parent"])
-            print(f"{metric['name']:<20} {summary(parent):>30} {summary(change):>30}"
-                  f"  {wins:>2}/{args.pairs}  {word}")
+        for name, m in report["metrics"].items():
+            parent, change = (f"{m[side]['median']:10.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]"
+                              for side in ("parent", "change"))
+            print(f"{name:<20} {parent:>30} {change:>30}  {m['wins']:>2}/{args.pairs}  {m['verdict']}")
+    if args.json_out:
+        first = next(iter(results.values()))["parent"][0]
+        out = {"commits": commits, "parent_rev": args.parent, "machine": first["env"],
+               "seeds": {"first": args.seed, "pairs": args.pairs,
+                         "warm_up": args.seed - 1 if set(args.workloads) & set(BUILDS_REFERENCES) else None},
+               "run_seconds": bench["run_seconds"], "workloads": compared}
+        args.json_out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -9,10 +9,13 @@ when downsampling masks by majority vote.
 The mask is a constant input: the backward pass routes gradient only into
 the pixels of the selected region and never differentiates the mask.
 
-Like the pooling ops in ``nn``, the forward reads strided window views of the
-bordered input and mask and the backward adds into the unpadded gradient.
-Window sums accumulate in float64, view by view in row-major window order
-from +0.0; that order fixes the rounding that keeps checkpoints and reports
+Like the pooling ops in ``nn``, the operator reads the input and mask as
+stride-phase planes (``nn._Phases``), where each window pixel is one
+contiguous run.  The forward sums every window plainly and sums again only
+the windows that straddle the mask boundary, with the selection; the
+backward adds each window pixel's run into gradient planes.  Window sums
+accumulate in float64, pixel by pixel in row-major window order from +0.0;
+that order fixes the rounding that keeps checkpoints and reports
 byte-identical, so it must not change.
 """
 
@@ -23,8 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import (FLOAT, Array, _check_geometry, _pad, _taps, _windows, as_nchw, out_size,
-                 window_counts)
+from .nn import FLOAT, Array, _check_geometry, _Phases, as_nchw, window_counts
+
+
+def _check_binary(m: Array):
+    if not np.isin(m, (0, 1)).all():
+        raise ConfigurationError("non-binary mask: values other than 0/1 present")
 
 
 def as_binary_mask(m: Array) -> Array:
@@ -32,8 +39,7 @@ def as_binary_mask(m: Array) -> Array:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ConfigurationError(f"expected 2-d mask, got shape {m.shape}")
-    if not np.isin(m, (0, 1)).all():
-        raise ConfigurationError("non-binary mask: values other than 0/1 present")
+    _check_binary(m)
     return m.astype(np.uint8)
 
 
@@ -44,8 +50,7 @@ def _mask_batch(m: Array, n: int, h: int, w: int) -> Array:
         m = m[None].repeat(n, axis=0)
     if m.shape != (n, h, w):
         raise ConfigurationError(f"mask shape {m.shape} does not match features ({n},{h},{w})")
-    if not np.isin(m, (0, 1)).all():
-        raise ConfigurationError("non-binary mask: values other than 0/1 present")
+    _check_binary(m)
     return m.astype(FLOAT)
 
 
@@ -106,39 +111,54 @@ def maskpool2d_forward(x: Array, m: Array, kernel: int = 3, stride: int = 2, pad
     n, c, h, w = x.shape
     mb = _mask_batch(m, n, h, w)[:, None]
     _check_geometry(h, w, kernel, stride, padding, pooling=True)
-    oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    fg = _windows(_pad(mb, padding), kernel, stride, oh, ow)
-    n_fg = sum(fg)                             # (n,1,oh,ow)
+    ph = _Phases(h, w, kernel, stride, padding)
+    fg = ph.runs(ph.planes(mb, 0.0))
+    n_fg = ph.crop(sum(fg))                    # (n,1,oh,ow)
     n_bg = window_counts(h, w, kernel, stride, padding) - n_fg
     branch_fg = n_fg >= n_bg
     counts = np.where(branch_fg, n_fg, n_bg)
-    total = np.zeros((n, c, oh, ow))
-    # selected iff the mask bit equals the branch; a padded pixel may match but adds +0.0
-    for v, f in zip(_windows(_pad(x, padding), kernel, stride, oh, ow), fg):
-        total += v * (f == branch_fg)
+    # An all-FG or all-BG window selects every valid pixel, and a padded pixel adds +0.0
+    # either way, so a plain sum is each such window's selected sum.  The windows that
+    # straddle the mask boundary are summed again: selected iff the mask bit equals the branch.
+    views = ph.runs(ph.planes(x, 0.0))
+    total = np.zeros((n, c, ph.span))
+    for v in views:
+        total += v
+    b, _, r, q = np.nonzero((n_fg > 0) & (n_bg > 0))
+    at, branch = r * ph.wq + q, branch_fg[b, 0, r, q]
+    straddle = np.zeros((len(b), c))
+    for v, f in zip(views, fg):
+        straddle += v[b, :, at] * (f[b, 0, at] == branch)[:, None]
+    total[b, :, at] = straddle
     record = MaskPoolRecord(branch_fg=branch_fg[:, 0], counts=counts[:, 0],
                             kernel=kernel, stride=stride, padding=padding)
-    return (total / counts).astype(x.dtype), record
+    return (ph.crop(total) / counts).astype(x.dtype), record
 
 
 def maskpool2d_backward(x: Array, m: Array, grad_out: Array, record: MaskPoolRecord) -> Array:
-    """Distribute grad/count into the pixels of each window's selected region."""
+    """Distribute grad/count into the pixels of each window's selected region.  The record
+    tells which windows straddle the mask boundary; only there is ``m`` read for the selection."""
     if record is None:
         raise ConfigurationError("maskpool2d_backward requires the record from the paired forward call")
     x = as_nchw(x)
     grad_out = as_nchw(grad_out)
     n, c, h, w = x.shape
-    kernel, stride, padding = record.kernel, record.stride, record.padding
-    oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    if grad_out.shape != (n, c, oh, ow):
-        raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
+    ph = _Phases(h, w, record.kernel, record.stride, record.padding)
+    if grad_out.shape != (n, c, ph.oh, ph.ow):
+        raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, ph.oh, ph.ow)}")
     mb = _mask_batch(m, n, h, w)[:, None]
-    branch = record.branch_fg[:, None]
     share = grad_out / record.counts[:, None]
-    gx = np.zeros(x.shape, dtype=x.dtype)
-    for out, inp in _taps(h, w, kernel, stride, padding, oh, ow):
-        gx[inp] += (share[out] * (mb[inp] == branch[out])).astype(x.dtype, copy=False)
-    return gx
+    b, r, q = np.nonzero(record.counts < window_counts(h, w, record.kernel, record.stride, record.padding))
+    at, branch, straddle = r * ph.wq + q, record.branch_fg[b, r, q], share[b, :, r, q]
+    part = ph.widen(share, x.dtype)
+
+    def parts():
+        # every window pixel's part is the share, but in a straddling window only the
+        # selected pixels get it and the others get share * 0 (+-0.0, or NaN from inf)
+        for f in ph.runs(ph.planes(mb, 0.0)):
+            part[b, :, at] = straddle * (f[b, 0, at] == branch)[:, None]
+            yield part
+    return ph.fold(parts(), x.shape, x.dtype)
 
 
 # ---------------------------------------------------------------------------

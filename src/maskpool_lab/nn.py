@@ -2,8 +2,8 @@
 
 Tensors are plain ``numpy.ndarray`` with dtype float32 and layout (batch,
 channel, height, width).  There is no autodiff graph; each layer pairs a
-forward function with a hand-written backward, and ``grad_check`` compares
-the two against central finite differences.
+forward function with a hand-written backward (tests/grad_check.py compares
+the two against central finite differences).
 
 Conventions:
   - convolution uses zero padding;
@@ -12,14 +12,14 @@ Conventions:
 
 Convolution writes im2col columns straight from the unpadded activation for
 one matmul (a 1x1 stride-1 conv uses the input itself); a training forward
-hands them to the backward (``with_cols``).  Pooling forwards read strided
-window views (``_windows``) of a bordered input; the avg and mask pooling
-backwards and the strided conv fold (``_fold``) add each window pixel's
-in-image part (``_taps``) into the unpadded gradient, in row-major window
-order from +0.0.  That order fixes every rounding, so it keeps checkpoints and
-reports byte-identical and must not change; the padded kernels in
-tests/pool_reference.py and tests/conv_reference.py pin it.  ``_fold_stride1``
-folds a stride-1 conv through contiguous slices instead, same float32 bits.
+hands them to the backward (``with_cols``).  Pooling reads its input as
+stride-phase planes (``_Phases``), where each window pixel is one contiguous
+run; the avg and mask pooling backwards and the stride-1 conv fold add those
+runs into gradient planes, the strided conv fold (``_fold``) adds each window
+pixel's in-image part (``_taps``) into the unpadded gradient.  Every sum runs in
+row-major window order from +0.0.  That order fixes every rounding, so it keeps
+checkpoints and reports byte-identical and must not change; the padded kernels
+in tests/pool_reference.py and tests/conv_reference.py pin it.
 """
 
 from __future__ import annotations
@@ -114,13 +114,6 @@ def _check_geometry(h: int, w: int, kernel: int, stride: int, padding: int, pool
         raise ConfigurationError(f"pooling window of zero valid pixels: padding {padding} >= kernel {kernel}")
 
 
-def _windows(xp: Array, kernel: int, stride: int, oh: int, ow: int) -> list:
-    """The kernel*kernel strided views of padded input xp, in row-major window
-    order: view i*kernel + j is the (n, c, oh, ow) grid of window pixels (i, j)."""
-    return [xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-            for i in range(kernel) for j in range(kernel)]
-
-
 def _taps(h: int, w: int, kernel: int, stride: int, padding: int, oh: int, ow: int) -> list:
     """Per window pixel, in row-major window order, (out, inp) indices: the part of the (oh, ow)
     output grid where the pixel lies inside the (h, w) input, and the input pixels it reads there."""
@@ -137,13 +130,70 @@ def _crop(xp: Array, padding: int) -> Array:
     return xp[:, :, padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
 
 
-def _pad(x: Array, padding: int, value: float = 0.0) -> Array:
-    if padding == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), value, dtype=x.dtype)
-    _crop(xp, padding)[...] = x
-    return xp
+class _Phases:
+    """Stride-phase planes (space-to-depth) of a window op's padded input.
+
+    Plane (a, b) of a channel holds padded pixel (stride*r + a, stride*q + b) at (r, q)
+    of a (rows, wq) grid, wq = ow + (kernel-1)//stride, so window pixel k of output
+    (r, q) sits at flat offset starts[k] + r*wq + q: over the output grid widened to
+    wq columns, each window pixel is one contiguous run, and callers crop the widened
+    columns.  Phases that no window reads (stride > kernel) get no plane; at stride 1
+    the one plane is the padded buffer.  ``tiles`` holds each plane's (grid, input)
+    indices of its in-image part."""
+
+    def __init__(self, h: int, w: int, kernel: int, stride: int, padding: int):
+        self.stride, self.oh = stride, out_size(h, kernel, stride, padding)
+        self.ow, d, m = out_size(w, kernel, stride, padding), (kernel - 1) // stride, min(kernel, stride)
+        self.rows, self.wq = self.oh + d, self.ow + d
+        self.span, self.size = self.oh * self.wq, self.rows * self.wq + d  # the last run ends d past the grid
+        self.starts = np.array([((i % stride) * m + j % stride) * self.size + i // stride * self.wq
+                                + j // stride for i in range(kernel) for j in range(kernel)])
+        self.tiles = _taps(h, w, m, stride, padding, self.rows, self.wq)
+
+    def _grids(self, planes: Array) -> Array:
+        """The (n, c, rows, wq) grid of each plane of (n, c, planes*size) ``planes``."""
+        n, c, p = planes.shape[:2] + (len(self.tiles),)
+        cut = planes.reshape(n, c, p, self.size)[..., :self.rows * self.wq]
+        return np.moveaxis(cut.reshape(n, c, p, self.rows, self.wq), 2, 0)
+
+    def planes(self, x: Array, fill: float) -> Array:
+        """(n, c, planes*size) phase planes of x, padded positions set to ``fill``."""
+        planes = np.empty(x.shape[:2] + (len(self.tiles) * self.size,), dtype=x.dtype)
+        for grid, (out, inp) in zip(self._grids(planes), self.tiles):
+            rows, cols = out[1], out[2]
+            grid[..., :rows.start, :] = grid[..., rows.stop:, :] = fill
+            grid[..., rows, :cols.start] = grid[..., rows, cols.stop:] = fill
+            grid[out] = x[inp]
+        planes.reshape(x.shape[:2] + (-1, self.size))[..., self.rows * self.wq:] = fill
+        return planes
+
+    def runs(self, planes: Array) -> list:
+        """Per window pixel, in row-major window order, its (n, c, oh*wq) run."""
+        return [planes[:, :, s:s + self.span] for s in self.starts]
+
+    def widen(self, a: Array, dtype) -> Array:
+        """(n, c, oh*wq) copy of (n, c, oh, ow) ``a`` with +0.0 in the widened columns."""
+        wide = np.zeros(a.shape[:2] + (self.oh, self.wq), dtype=dtype)
+        wide[..., :self.ow] = a
+        return wide.reshape(a.shape[:2] + (self.span,))
+
+    def crop(self, a: Array) -> Array:
+        """The (n, c, oh, ow) outputs of an (n, c, oh*wq) widened grid."""
+        return a.reshape(a.shape[:2] + (self.oh, self.wq))[..., :self.ow]
+
+    def fold(self, parts, shape, dtype) -> Array:
+        """Input gradient of ``shape`` from each window pixel's (n, c, oh*wq) part, in row-major
+        window order, added into gradient planes from +0.0 (so +-0.0 in a widened column changes
+        no sum), whose in-image part is written back once."""
+        gp = np.zeros(shape[:2] + (len(self.tiles) * self.size,), dtype=dtype)
+        for s, part in zip(self.starts, parts):
+            gp[:, :, s:s + self.span] += part
+        if self.stride == 1:
+            return self._grids(gp)[0][self.tiles[0][0]]
+        gx = np.zeros(shape, dtype=dtype)  # pixels past the last window get no gradient
+        for grid, (out, inp) in zip(self._grids(gp), self.tiles):
+            gx[inp] = grid[out]
+        return gx
 
 
 def window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Array:
@@ -206,39 +256,6 @@ def _fold(parts: Array, shape, kernel: int, stride: int, padding: int) -> Array:
     return gx
 
 
-def _fold_stride1(wt: Array, grad_out: Array, shape, kernel: int, padding: int) -> Array:
-    """Input gradient of a stride-1 conv: what ``_fold`` makes of ``wt @ grad_out``,
-    folded through contiguous slices of a padded buffer instead of strided views.
-
-    ``grad_out`` is widened from ow to the padded width wp with zero columns,
-    so output (r, col) of window pixel (i, j) lands at flat offset
-    r*wp + col + (i*wp + j) of the padded buffer: one contiguous ``+=`` per
-    window pixel, in row-major window order.  The zero columns add
-    ``wt @ 0`` = +-0 (wt must be finite), which changes no sum: sums start
-    from +0.0, so none is ever -0.0.
-
-    The bits also rely on the matmul computing each output column the same
-    way whatever the number of columns.  OpenBLAS's sgemm does, so float32
-    results are unchanged; its dgemm computes the last columns of a large
-    product with another kernel, so float64 results (gradient checks only)
-    can differ from ``_fold``'s in the last bits."""
-    n, c, h, w = shape
-    _, oc, oh, ow = grad_out.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    g = grad_out
-    if wp != ow:
-        g = np.zeros((n, oc, oh, wp), dtype=grad_out.dtype)
-        g[..., :ow] = grad_out
-    span = oh * wp
-    gcols = np.matmul(wt, g.reshape(n, oc, span)).reshape(n, c, kernel * kernel, span)
-    # the last window pixel's slice runs kernel - 1 entries past the buffer
-    xp = np.zeros((n, c, hp * wp + kernel - 1), dtype=gcols.dtype)
-    for k in range(kernel * kernel):
-        i, j = divmod(k, kernel)
-        xp[:, :, i * wp + j:i * wp + j + span] += gcols[:, :, k]
-    return _crop(xp[:, :, :hp * wp].reshape(n, c, hp, wp), padding)
-
-
 def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
                     padding: int = 0, input_grad: bool = True, cols: Array | None = None) -> Array | None:
     """Gradients of conv2d_forward; accumulates into p.grad_weights / p.grad_bias.
@@ -263,10 +280,18 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
     if not input_grad:
         return None
     wt = p.weights.reshape(oc, -1).T.astype(x.dtype)
-    # a non-finite weight would turn the widened zero columns into NaN, and
-    # numpy multiplies by a single column (oh*ow == 1) with gemv, not gemm
+    # A stride-1 conv folds through the phase planes' contiguous runs instead, with
+    # grad_out widened by zero columns that add wt @ 0 = +-0 and so change no sum (a
+    # non-finite weight would make them NaN; a single column, oh*ow == 1, goes through
+    # gemv, not gemm).  The bits rely on the matmul computing each column the same
+    # whatever the column count: OpenBLAS's sgemm does, its dgemm does not for the last
+    # columns of a large product, so float64 gradients (checks only) may differ from
+    # ``_fold``'s in the last bits.
     if stride == 1 and oh * ow > 1 and np.isfinite(wt).all():
-        return _fold_stride1(wt, grad_out, x.shape, kh, padding)
+        ph = _Phases(h, w, kh, 1, padding)
+        wide = g if ph.wq == ow else ph.widen(grad_out, grad_out.dtype)
+        gcols = np.matmul(wt, wide).reshape(n, ic, kh * kw, ph.span)
+        return ph.fold(np.moveaxis(gcols, 2, 0), x.shape, gcols.dtype)
     return _fold(np.matmul(wt, g).reshape(n, ic, kh * kw, oh, ow), x.shape, kh, stride, padding)
 
 
@@ -312,9 +337,9 @@ def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
     x = as_nchw(x)
     n, c, h, w = x.shape
     _check_geometry(h, w, kernel, stride, padding, pooling=True)
-    oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    xp = _pad(x, padding, value=-np.inf)
-    views = _windows(xp, kernel, stride, oh, ow)
+    ph = _Phases(h, w, kernel, stride, padding)
+    planes = ph.planes(x, -np.inf)
+    views = ph.runs(planes)
     top = views[0].copy()
     for v in views[1:]:
         np.maximum(top, v, out=top)  # propagates NaN
@@ -328,10 +353,11 @@ def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
         if nan:
             before &= v == v
         argmax += before
-    argmax = argmax.astype(np.intp)
+    argmax = ph.crop(argmax).astype(np.intp)
     # read the value back at argmax: the maximum's bits, signed zero and NaN included
-    y = np.take(xp, _flat_index(argmax, xp.shape, kernel, stride))
-    return y, argmax.reshape(n, c, oh * ow)
+    flat = np.take(ph.starts, argmax) + (np.arange(ph.oh)[:, None] * ph.wq + np.arange(ph.ow))
+    y = np.take(planes, flat + np.arange(n * c).reshape(n, c, 1, 1) * planes.shape[2])
+    return y, argmax.reshape(n, c, ph.oh * ph.ow)
 
 
 def maxpool2d_backward(x: Array, argmax: Array, grad_out: Array,
@@ -357,23 +383,22 @@ def avgpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0) -> A
     x = as_nchw(x)
     n, c, h, w = x.shape
     _check_geometry(h, w, kernel, stride, padding, pooling=True)
-    oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    total = np.zeros((n, c, oh, ow))
-    for v in _windows(_pad(x, padding), kernel, stride, oh, ow):
+    ph = _Phases(h, w, kernel, stride, padding)
+    total = np.zeros((n, c, ph.span))
+    for v in ph.runs(ph.planes(x, 0.0)):
         total += v
-    return (total / window_counts(h, w, kernel, stride, padding)).astype(x.dtype)
+    return (ph.crop(total) / window_counts(h, w, kernel, stride, padding)).astype(x.dtype)
 
 
 def avgpool2d_backward(x: Array, grad_out: Array, kernel: int, stride: int, padding: int = 0) -> Array:
     x = as_nchw(x)
     grad_out = as_nchw(grad_out)
     n, c, h, w = x.shape
-    oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    if grad_out.shape != (n, c, oh, ow):
-        raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
-    share = (grad_out / window_counts(h, w, kernel, stride, padding)).astype(x.dtype, copy=False)
-    every_pixel = np.broadcast_to(share[:, :, None], (n, c, kernel * kernel, oh, ow))
-    return _fold(every_pixel, x.shape, kernel, stride, padding)
+    ph = _Phases(h, w, kernel, stride, padding)
+    if grad_out.shape != (n, c, ph.oh, ph.ow):
+        raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, ph.oh, ph.ow)}")
+    share = ph.widen(grad_out / window_counts(h, w, kernel, stride, padding), x.dtype)
+    return ph.fold([share] * kernel * kernel, x.shape, x.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -459,49 +484,3 @@ def sgd_step(params, cfg: OptimizerConfig) -> None:
             v += g + wd * w
             w -= lr * v
         p.zero_grad()
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checker
-# ---------------------------------------------------------------------------
-
-def grad_check(forward, backward, x: Array, *, epsilon: float = 1e-3,
-               grad_out: Array | None = None, exclude: Array | None = None,
-               rng: np.random.Generator | None = None) -> float:
-    """Max relative error between analytic backward and central differences.
-
-    ``forward(x)`` maps an array to an array; ``backward(x, grad_out)`` must
-    return d(sum(forward(x) * grad_out))/dx.  The op is driven at float64 (all
-    ops follow their input dtype) so the epsilon-sized differences are not
-    drowned by float32 output quantization; the relative-error denominator is
-    max(|analytic|, |numeric|, 1e-8).  Entries flagged in ``exclude`` (same
-    shape as x) are skipped.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.asarray(forward(x))
-    if grad_out is None:
-        rng = rng or np.random.default_rng(0)
-        grad_out = rng.standard_normal(y.shape)
-    grad_out64 = np.asarray(grad_out, dtype=np.float64)
-    analytic = np.asarray(backward(x, grad_out64), dtype=np.float64).reshape(-1)
-    skip = np.zeros(x.size, dtype=bool) if exclude is None else np.asarray(exclude).astype(bool).reshape(-1)
-    flat = x.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        if skip[i]:
-            continue
-        orig = flat[i]
-        xp = x.copy()
-        xp.reshape(-1)[i] = orig + epsilon
-        xm = x.copy()
-        xm.reshape(-1)[i] = orig - epsilon
-        step = float(xp.reshape(-1)[i]) - float(xm.reshape(-1)[i])
-        if step == 0.0:
-            continue
-        fp = float((np.asarray(forward(xp), dtype=np.float64) * grad_out64).sum())
-        fm = float((np.asarray(forward(xm), dtype=np.float64) * grad_out64).sum())
-        numeric = (fp - fm) / step
-        a = float(analytic[i])
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst

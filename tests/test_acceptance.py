@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ap_oracle
+from grad_check import grad_check
 from im2col_reference import col2im, im2col, pad
 from maskpool_lab import cli, detector, experiments, maskpool, metrics, nn, scenegen
 
@@ -56,7 +57,7 @@ def test_criterion_1_gradient_fidelity():
                 p.zero_grad()
                 return nn.conv2d_backward(xx, p, g, 1, 1)
 
-            err = nn.grad_check(lambda xx, p=p: nn.conv2d_forward(xx, p, 1, 1), bwd, x, rng=rng)
+            err = grad_check(lambda xx, p=p: nn.conv2d_forward(xx, p, 1, 1), bwd, x, rng=rng)
         elif family == "maskpool":
             def fwd(xx, mask=mask):
                 return maskpool.maskpool2d_forward(xx, mask, 3, 2, 1)[0]
@@ -65,30 +66,30 @@ def test_criterion_1_gradient_fidelity():
                 _, rec = maskpool.maskpool2d_forward(xx, mask, 3, 2, 1)
                 return maskpool.maskpool2d_backward(xx, mask, g, rec)
 
-            err = nn.grad_check(fwd, bwd, x, rng=rng)
+            err = grad_check(fwd, bwd, x, rng=rng)
         elif family == "avgpool":
-            err = nn.grad_check(lambda xx: nn.avgpool2d_forward(xx, 3, 2, 1),
+            err = grad_check(lambda xx: nn.avgpool2d_forward(xx, 3, 2, 1),
                                 lambda xx, g: nn.avgpool2d_backward(xx, g, 3, 2, 1), x, rng=rng)
         elif family == "maxpool":
             def bwd(xx, g):
                 _, arg = nn.maxpool2d_forward(xx, 3, 2, 1)
                 return nn.maxpool2d_backward(xx, arg, g, 3, 2, 1)
 
-            err = nn.grad_check(lambda xx: nn.maxpool2d_forward(xx, 3, 2, 1)[0], bwd, x,
+            err = grad_check(lambda xx: nn.maxpool2d_forward(xx, 3, 2, 1)[0], bwd, x,
                                 exclude=_near_tie_exclusion(x, 3, 2, 1), rng=rng)
         elif family == "relu":
-            err = nn.grad_check(nn.relu_forward, nn.relu_backward, x,
+            err = grad_check(nn.relu_forward, nn.relu_backward, x,
                                 exclude=np.abs(x) < 1e-2, rng=rng)
         elif family == "bce":
             tgt = rng.uniform(0, 1, x.shape).astype(np.float32)
-            err = nn.grad_check(lambda z: np.float64(nn.loss_bce_logits(z, tgt)[0]),
+            err = grad_check(lambda z: np.float64(nn.loss_bce_logits(z, tgt)[0]),
                                 lambda z, g: nn.loss_bce_logits(z, tgt)[1] * g,
                                 x, grad_out=np.ones(()), rng=rng)
         elif family == "ce":
             tgt = rng.integers(0, c, (n, h, w))
             valid = rng.uniform(size=(n, h, w)) < 0.5
             valid[0, 0, 0] = True
-            err = nn.grad_check(lambda z: np.float64(nn.loss_softmax_ce(z, tgt, valid)[0]),
+            err = grad_check(lambda z: np.float64(nn.loss_softmax_ce(z, tgt, valid)[0]),
                                 lambda z, g: nn.loss_softmax_ce(z, tgt, valid)[1] * g,
                                 x, grad_out=np.ones(()), rng=rng)
         else:  # smooth_l1
@@ -96,7 +97,7 @@ def test_criterion_1_gradient_fidelity():
             valid = rng.uniform(size=(n, h, w)) < 0.7
             valid[0, 0, 0] = True
             seam = np.abs(np.abs(x.astype(np.float64) - tgt) - 1.0) < 1e-2
-            err = nn.grad_check(lambda z: np.float64(nn.loss_smooth_l1(z, tgt, valid, 1.0)[0]),
+            err = grad_check(lambda z: np.float64(nn.loss_smooth_l1(z, tgt, valid, 1.0)[0]),
                                 lambda z, g: nn.loss_smooth_l1(z, tgt, valid, 1.0)[1] * g,
                                 x, grad_out=np.ones(()), exclude=seam, rng=rng)
         worst[family] = max(worst[family], err)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import conv_reference
+from grad_check import grad_check
 import plan_reference as plan_ref
 import pool_reference as ref
 import tensor_reference
@@ -230,7 +231,7 @@ class TestLoss:
         d = np.abs(raw[:, 4:] - targets.boxes) - 1.0
         exclude = np.zeros_like(raw, bool)
         exclude[:, 4:] = np.abs(d) < 1e-2
-        err = nn.grad_check(fwd, bwd, raw, grad_out=np.ones(()), exclude=exclude, rng=rng)
+        err = grad_check(fwd, bwd, raw, grad_out=np.ones(()), exclude=exclude, rng=rng)
         assert err < 1e-3
 
 
@@ -463,7 +464,7 @@ class TestWholeNetworkGradient:
 
         x = rng.standard_normal((2, 2, 16, 16))  # the stem's output
         # the first op is a ReLU: skip inputs whose differences would cross its kink
-        err = nn.grad_check(loss, grad, x, epsilon=1e-4, grad_out=np.ones(()),
+        err = grad_check(loss, grad, x, epsilon=1e-4, grad_out=np.ones(()),
                             exclude=np.abs(x) < 1e-2)
         assert err < 1e-3
 

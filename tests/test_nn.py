@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grad_check import grad_check
 from im2col_reference import col2im, im2col, pad
 from maskpool_lab import nn
 from maskpool_lab.errors import ConfigurationError
@@ -103,7 +104,7 @@ class TestConv:
             p.zero_grad()
             return nn.conv2d_backward(xx, p, g, 1, 1)
 
-        err = nn.grad_check(lambda xx: nn.conv2d_forward(xx, p, 1, 1), bwd, x, rng=rng)
+        err = grad_check(lambda xx: nn.conv2d_forward(xx, p, 1, 1), bwd, x, rng=rng)
         assert err < 1e-3
 
     def test_grad_weights_bias_finite_differences(self, rng):
@@ -120,7 +121,7 @@ class TestConv:
             nn.conv2d_backward(x, p, g, 1, 1)
             return p.grad_weights
 
-        assert nn.grad_check(fwd_w, bwd_w, p0.weights, rng=rng) < 1e-3
+        assert grad_check(fwd_w, bwd_w, p0.weights, rng=rng) < 1e-3
 
         def fwd_b(b):
             p = nn.LayerParams(weights=p0.weights.copy(), bias=b.reshape(-1))
@@ -131,7 +132,7 @@ class TestConv:
             nn.conv2d_backward(x, p, g, 1, 1)
             return p.grad_bias.reshape(b.shape)
 
-        assert nn.grad_check(fwd_b, bwd_b, p0.bias.reshape(1, 1, 1, 2), rng=rng) < 1e-3
+        assert grad_check(fwd_b, bwd_b, p0.bias.reshape(1, 1, 1, 2), rng=rng) < 1e-3
 
 
 class TestRelu:
@@ -147,7 +148,7 @@ class TestRelu:
     def test_finite_differences_away_from_kink(self, rng):
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
         exclude = np.abs(x) < 1e-2
-        err = nn.grad_check(nn.relu_forward, nn.relu_backward, x, exclude=exclude, rng=rng)
+        err = grad_check(nn.relu_forward, nn.relu_backward, x, exclude=exclude, rng=rng)
         assert err < 1e-3
 
 
@@ -195,7 +196,7 @@ class TestMaxPool:
             _, arg = nn.maxpool2d_forward(xx, 3, 2, 1)
             return nn.maxpool2d_backward(xx, arg, g, 3, 2, 1)
 
-        err = nn.grad_check(lambda xx: nn.maxpool2d_forward(xx, 3, 2, 1)[0], bwd, x,
+        err = grad_check(lambda xx: nn.maxpool2d_forward(xx, 3, 2, 1)[0], bwd, x,
                             exclude=exclude, rng=rng)
         assert err < 1e-3
 
@@ -226,7 +227,7 @@ class TestAvgPool:
     def test_finite_differences(self, rng):
         x = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
 
-        err = nn.grad_check(lambda xx: nn.avgpool2d_forward(xx, 3, 2, 1),
+        err = grad_check(lambda xx: nn.avgpool2d_forward(xx, 3, 2, 1),
                             lambda xx, g: nn.avgpool2d_backward(xx, g, 3, 2, 1), x, rng=rng)
         assert err < 1e-3
 
@@ -257,7 +258,7 @@ class TestLosses:
     def test_bce_finite_differences(self, rng):
         z = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
         t = rng.uniform(0, 1, (1, 1, 3, 3)).astype(np.float32)
-        err = nn.grad_check(lambda zz: np.float64(nn.loss_bce_logits(zz, t)[0]),
+        err = grad_check(lambda zz: np.float64(nn.loss_bce_logits(zz, t)[0]),
                             lambda zz, g: nn.loss_bce_logits(zz, t)[1] * g,
                             z, grad_out=np.ones(()), rng=rng)
         assert err < 1e-3
@@ -267,7 +268,7 @@ class TestLosses:
         tgt = rng.integers(0, 3, (2, 2, 2))
         valid = rng.uniform(size=(2, 2, 2)) < 0.6
         valid[0, 0, 0] = True
-        err = nn.grad_check(lambda zz: np.float64(nn.loss_softmax_ce(zz, tgt, valid)[0]),
+        err = grad_check(lambda zz: np.float64(nn.loss_softmax_ce(zz, tgt, valid)[0]),
                             lambda zz, g: nn.loss_softmax_ce(zz, tgt, valid)[1] * g,
                             z, grad_out=np.ones(()), rng=rng)
         assert err < 1e-3
@@ -280,7 +281,7 @@ class TestLosses:
         # exclude entries near the quadratic/linear seam at |d| == beta
         d = np.abs(p.astype(np.float64) - t) - 1.0
         exclude = np.broadcast_to(np.abs(d) < 1e-2, p.shape)
-        err = nn.grad_check(lambda pp: np.float64(nn.loss_smooth_l1(pp, t, valid, 1.0)[0]),
+        err = grad_check(lambda pp: np.float64(nn.loss_smooth_l1(pp, t, valid, 1.0)[0]),
                             lambda pp, g: nn.loss_smooth_l1(pp, t, valid, 1.0)[1] * g,
                             p, grad_out=np.ones(()), exclude=exclude, rng=rng)
         assert err < 1e-3
@@ -324,7 +325,7 @@ class TestSgd:
 class TestGradCheck:
     def test_identity_op(self, rng):
         x = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
-        err = nn.grad_check(lambda xx: xx, lambda xx, g: g, x, rng=rng)
+        err = grad_check(lambda xx: xx, lambda xx, g: g, x, rng=rng)
         assert err < 1e-6
 
 

@@ -106,7 +106,7 @@ def compare(bench: dict, runs: dict) -> dict:
         sides = {side: stats([r[metric["name"]] for r in runs[side]]) for side in ("parent", "change")}
         wins, word = verdict(metric, sides["parent"]["values"], sides["change"]["values"],
                              incorrect["change"] > incorrect["parent"])
-        metrics[metric["name"]] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+        metrics[metric["name"]] = {**{k: metric[k] for k in ("unit", "better", "bound")},
                                    **sides, "wins": wins, "verdict": word}
     return {"incorrect": incorrect, "metrics": metrics}
 
@@ -120,12 +120,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]],
                         choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--scratch", type=Path, required=True, help="new directory for the two trees")
-    parser.add_argument("--json-out", type=Path, help="write commits, machine, seeds and every comparison here")
+    parser.add_argument("--json-out", type=Path,
+                        help="write commits, machine, seeds and every comparison here")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
-    commits = {"parent": git("rev-parse", args.parent), "change": git("stash", "create") or git("rev-parse", "HEAD")}
+    commits = {"parent": git("rev-parse", args.parent),
+               "change": git("stash", "create") or git("rev-parse", "HEAD")}
     trees = {side: export(commit, args.scratch / side) for side, commit in commits.items()}
     results, warm = {}, set()
     for workload in args.workloads:

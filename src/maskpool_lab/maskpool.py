@@ -137,8 +137,8 @@ def maskpool2d_forward(x: Array, m: Array, kernel: int = 3, stride: int = 2, pad
 
 
 def maskpool2d_backward(x: Array, m: Array, grad_out: Array, record: MaskPoolRecord) -> Array:
-    """Distribute grad/count into the pixels of each window's selected region.  The record
-    tells which windows straddle the mask boundary; only there is ``m`` read for the selection."""
+    """Distribute grad/count into the pixels of each window's selected region.  The record tells
+    which windows straddle the mask boundary; ``m`` is checked as in the forward, read only there."""
     if record is None:
         raise ConfigurationError("maskpool2d_backward requires the record from the paired forward call")
     x = as_nchw(x)

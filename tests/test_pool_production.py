@@ -54,7 +54,8 @@ def test_maxpool_at_slot_shape(n, kind):
     y_ref, argmax_ref = ref.maxpool2d_forward(x, *SLOT)
     assert_bitwise(y, y_ref, nan_payload=True)
     assert_bitwise(argmax, argmax_ref)
-    assert_bitwise(nn.maxpool2d_backward(x, argmax, g, *SLOT), ref.maxpool2d_backward(x, argmax_ref, g, *SLOT))
+    assert_bitwise(nn.maxpool2d_backward(x, argmax, g, *SLOT),
+                   ref.maxpool2d_backward(x, argmax_ref, g, *SLOT))
 
 
 @pytest.mark.parametrize("n,kind", CASES)
@@ -75,18 +76,22 @@ def test_maskpool_at_slot_shape(slot_masks, n, kind):
     assert_bitwise(y, y_ref)
     assert_bitwise(record.branch_fg, record_ref.branch_fg)
     assert_bitwise(record.counts, record_ref.counts)
-    assert_bitwise(maskpool.maskpool2d_backward(x, m, g, record), ref.maskpool2d_backward(x, m, g, record_ref))
+    assert_bitwise(maskpool.maskpool2d_backward(x, m, g, record),
+                   ref.maskpool2d_backward(x, m, g, record_ref))
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("kernel,stride,padding", [SLOT, (2, 2, 0), (3, 1, 1), (4, 3, 3), (1, 2, 0)])
-def test_finite_inputs_raise_no_floating_point_error(slot_masks, kernel, stride, padding):
+@pytest.mark.parametrize("shape,kernel,stride,padding",
+                         [((8, 16, 64, 64),) + SLOT] + [((2, 3, 13, 11),) + geometry for geometry in
+                                                        [SLOT, (2, 2, 0), (3, 1, 1), (4, 3, 3), (1, 2, 0)]])
+def test_finite_inputs_raise_no_floating_point_error(slot_masks, shape, kernel, stride, padding):
     # the widened columns of the phase planes never reach a division or an overflow
     rng = np.random.default_rng(kernel * 10 + stride)
-    x = (rng.standard_normal((2, 3, 13, 11)) * 1e30).astype(np.float32)
-    m = slot_masks[:2, :13, :11]
-    oh, ow = nn.out_size(13, kernel, stride, padding), nn.out_size(11, kernel, stride, padding)
-    g = rng.standard_normal((2, 3, oh, ow)).astype(np.float32)
+    n, _, h, w = shape
+    x = (rng.standard_normal(shape) * 1e30).astype(np.float32)
+    m = slot_masks[:n] if h == 64 else rng.integers(0, 2, (n, h, w), np.uint8)
+    g = rng.standard_normal((n, shape[1], nn.out_size(h, kernel, stride, padding),
+                             nn.out_size(w, kernel, stride, padding))).astype(np.float32)
     with np.errstate(all="raise"):
         y, argmax = nn.maxpool2d_forward(x, kernel, stride, padding)
         nn.maxpool2d_backward(x, argmax, g, kernel, stride, padding)

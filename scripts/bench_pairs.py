@@ -22,13 +22,18 @@ verdict:
   unresolved  the parent's quartile range is wider than the bound, and not
               every change run beat every parent run;
   within      none of these: no worse than the bound.
-Raw values go to ``<scratch>/pairs.json``, rewritten after every run.  With
-``--json-out PATH`` the script also writes one file with both commits, the
-machine (CPU model, cores, numpy, BLAS, as the first run printed them), the
-seeds and, per workload and end-to-end metric, both sides' raw values,
-medians and quartiles, the wins and the verdict.  A run that exits non-zero
-stops the script with exit status 1, after printing its workload, side,
-seed, exit code and the end of its stderr.
+The metrics are scaled to the calibration kernel that ``perfbench/run.py``
+times in the same process, so a change that also speeds up that kernel shows
+less gain scaled than raw: each run's uncalibrated (``raw``) values and its
+calibration kernel medians per phase are kept too, and printed as medians
+below each workload's table.  Every run goes to ``<scratch>/pairs.json``,
+rewritten after every run.  With ``--json-out PATH`` the script also writes
+one file with both commits, the machine (CPU model, cores, numpy, BLAS, as
+the first run printed them), the seeds and, per workload, both sides'
+calibration kernel medians and, per end-to-end metric, both sides' values,
+medians and quartiles, scaled and raw, the wins and the verdict.  A run that
+exits non-zero stops the script with exit status 1, after printing its
+workload, side, seed, exit code and the end of its stderr.
 
 Usage:
     python3 scripts/bench_pairs.py HEAD~1 --seed 6101 --pairs 10 --scratch /tmp/pairs
@@ -44,6 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILDS_REFERENCES = ("sweep", "swap")
+CALIBRATION = "calibration kernel median ms: "
 
 
 def git(*args) -> str:
@@ -58,9 +64,28 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
+def parse(stdout: str) -> dict:
+    """{metric: value} from the JSON last line of a --trace 0 run's stdout, plus "correct",
+    the "env" that run.py printed, "raw": {metric: uncalibrated value} (run.py prints
+    "(raw …)" only where the two differ) and "calibration_ms": {phase: kernel median}."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    values = {k: m["value"] for k, m in result["metrics"].items()}
+    env, raw, calibration = None, dict(values), {}
+    for line in lines:
+        if line.startswith("env "):
+            env = json.loads(line[len("env "):])
+        elif line.startswith(CALIBRATION):
+            phases = line[len(CALIBRATION):].split(";")[0].split(", ")
+            calibration = {phase: float(ms) for phase, ms, _count in map(str.split, phases)}
+        elif line.startswith("  ") and line.endswith(")") and "(raw " in line:
+            raw[line.split()[0]] = float(line.rsplit("(raw ", 1)[1][:-1])
+    return {"correct": result["correct"], "env": env, "raw": raw, "calibration_ms": calibration, **values}
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """{metric: value} of one --trace 0 run, plus "correct" and the "env" that run.py
-    printed.  The side is the tree's directory name; a failed run raises SystemExit(1)."""
+    """``parse`` of one --trace 0 run.  The side is the tree's directory name; a failed
+    run raises SystemExit(1)."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
@@ -69,10 +94,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         print(f"{workload} {tree.name} seed {seed}: perfbench/run.py exited {proc.returncode}\n{tail}",
               end="", file=sys.stderr)
         raise SystemExit(1)
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
-    env = next((json.loads(line[len("env "):]) for line in lines if line.startswith("env ")), None)
-    return {"correct": result["correct"], "env": env, **{k: m["value"] for k, m in result["metrics"].items()}}
+    return parse(proc.stdout)
 
 
 def verdict(metric: dict, parent: list, change: list, more_incorrect: bool) -> tuple:
@@ -98,17 +120,22 @@ def stats(values: list) -> dict:
 
 
 def compare(bench: dict, runs: dict) -> dict:
-    """One workload's incorrect-run counts and, per end-to-end metric, both sides'
-    ``stats``, the pairs the change won and the verdict."""
+    """One workload's incorrect-run counts, both sides' calibration kernel ``stats`` per
+    phase and, per end-to-end metric, both sides' ``stats`` (and under "raw" those of
+    the uncalibrated values), the pairs the change won and the verdict."""
     incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
+    calibration = {side: {phase: stats([r["calibration_ms"][phase] for r in runs[side]])
+                          for phase in runs[side][0]["calibration_ms"]} for side in runs}
     metrics = {}
     for metric in bench["end_to_end"]:
-        sides = {side: stats([r[metric["name"]] for r in runs[side]]) for side in ("parent", "change")}
+        name = metric["name"]
+        sides = {side: stats([r[name] for r in runs[side]]) for side in ("parent", "change")}
         wins, word = verdict(metric, sides["parent"]["values"], sides["change"]["values"],
                              incorrect["change"] > incorrect["parent"])
-        metrics[metric["name"]] = {**{k: metric[k] for k in ("unit", "better", "bound")},
-                                   **sides, "wins": wins, "verdict": word}
-    return {"incorrect": incorrect, "metrics": metrics}
+        metrics[name] = {**{k: metric[k] for k in ("unit", "better", "bound")}, **sides,
+                         "raw": {side: stats([r["raw"][name] for r in runs[side]]) for side in runs},
+                         "wins": wins, "verdict": word}
+    return {"incorrect": incorrect, "calibration_ms": calibration, "metrics": metrics}
 
 
 def main(argv=None) -> int:
@@ -155,6 +182,12 @@ def main(argv=None) -> int:
             parent, change = (f"{m[side]['median']:10.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]"
                               for side in ("parent", "change"))
             print(f"{name:<20} {parent:>30} {change:>30}  {m['wins']:>2}/{args.pairs}  {m['verdict']}")
+        print("raw medians, parent -> change: " + ", ".join(
+            f"{name} {m['raw']['parent']['median']:.4g} -> {m['raw']['change']['median']:.4g}"
+            for name, m in report["metrics"].items() if m["raw"]["parent"]["values"] != m["parent"]["values"]))
+        print("calibration kernel median ms, parent -> change: " + ", ".join(
+            f"{phase} {c['median']:.3f} -> {report['calibration_ms']['change'][phase]['median']:.3f}"
+            for phase, c in report["calibration_ms"]["parent"].items()))
     if args.json_out:
         first = next(iter(results.values()))["parent"][0]
         out = {"commits": commits, "parent_rev": args.parent, "machine": first["env"],

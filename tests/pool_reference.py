@@ -1,6 +1,6 @@
 """The im2col pooling kernels and the np.where ReLU backward the library used to
-ship, kept as bitwise references for the strided-view kernels in ``nn`` and
-``maskpool``.
+ship, kept as bitwise references for the stride-phase-plane pooling kernels
+(``nn._Phases``) in ``nn`` and ``maskpool``.
 
 Each window is copied into an (n, c, kernel*kernel, oh*ow) column buffer
 (``im2col_reference.im2col``), reduced along the window axis, and gradients

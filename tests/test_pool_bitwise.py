@@ -1,5 +1,6 @@
-"""Bitwise agreement of the strided-view pooling kernels and the bit-select
-ReLU backward with the im2col / np.where references in ``pool_reference``.
+"""Bitwise agreement of the stride-phase-plane pooling kernels and the
+bit-select ReLU backward with the im2col / np.where references in
+``pool_reference``.
 
 Values, argmax indices, ``MaskPoolRecord`` fields and input gradients must
 match bit for bit (compared as unsigned integers, so the sign of zero

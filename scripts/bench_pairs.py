@@ -23,10 +23,10 @@ verdict:
               every change run beat every parent run;
   within      none of these: no worse than the bound.
 The metrics are scaled to the calibration kernel that ``perfbench/run.py``
-times in the same process, so a change that also speeds up that kernel shows
-less gain scaled than raw: each run's uncalibrated (``raw``) values and its
-calibration kernel medians per phase are kept too, and printed as medians
-below each workload's table.  Every run goes to ``<scratch>/pairs.json``,
+times in the same process, so a change that also moves that kernel's speed
+moves every scaled value with it: each run's uncalibrated (``raw``) values
+and its calibration kernel medians per phase are kept too, and printed as
+medians below each workload's table.  Every run goes to ``<scratch>/pairs.json``,
 rewritten after every run.  With ``--json-out PATH`` the script also writes
 one file with both commits, the machine (CPU model, cores, numpy, BLAS, as
 the first run printed them), the seeds and, per workload, both sides'

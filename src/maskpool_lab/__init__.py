@@ -14,8 +14,8 @@ import ctypes
 import os
 
 # glibc moves its mmap and trim thresholds with each large free, so a training step's
-# multi-MB temporaries were unmapped and faulted in again by the next step.  Pin both
-# (setting one stops the moves) unless the environment sets them; no-op without mallopt.
+# multi-MB temporaries can be unmapped or trimmed and faulted in again by the next step.
+# Pin both (setting one stops the moves) unless the environment sets them; no-op without mallopt.
 if os.name == "posix" and not ({"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & set(os.environ)
                                or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
     _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

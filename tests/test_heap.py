@@ -5,8 +5,8 @@ Each variant runs in a fresh interpreter in the benchmark's ``train`` order:
 train, evaluate, train again.  A ``log_every=1`` handler reads the process's
 minor page faults after every step.  Without the pin, which large arrays the
 evaluation freed decides whether the second training's im2col columns and
-pooling planes come back as fresh pages: the max variant faulted on most warm
-steps, 2,000-3,000 faults each.
+pooling planes come back as fresh pages: the avg variant faulted on
+several warm steps, 500-2,700 faults each.
 """
 
 import json
@@ -21,7 +21,7 @@ import pytest
 pytestmark = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WARM_FAULTS = 256   # pinned: 0-200 per warm step; every array freshly mapped: about 12,000
+WARM_FAULTS = 256   # pinned: at most 123 per warm step; every array freshly mapped: about 12,000
 
 CHILD = """
 import json, logging, resource, sys

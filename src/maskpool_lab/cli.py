@@ -141,9 +141,9 @@ def cmd_gen(cfg: dict, args) -> int:
         n_images=_int(cfg, args, "n_images"),
         image_size=_int(cfg, args, "image_size", 128),
         classes=tuple(classes), textures=tuple(textures), bias=bias,
-        objects_per_image=tuple(cfg.get("objects_per_image", (1, 4))),
+        objects_per_image=cfg.get("objects_per_image", (1, 4)),
         seed=seed, out_dir=out,
-        size_range=tuple(cfg.get("size_range", scenegen.DEFAULT_SIZE_RANGE)))
+        size_range=cfg.get("size_range", scenegen.DEFAULT_SIZE_RANGE))
     _write_run_manifest(out, "gen", cfg, seed, ["manifest.json"])
     log.info("generated %d images under %s", len(manifest), out)
     return 0
@@ -214,40 +214,37 @@ def cmd_swap_bg(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_perturb(cfg: dict, args) -> int:
+def _run_report(cfg: dict, args, command: str, stem: str, runner) -> experiments.ExperimentReport:
+    """Run ``runner(ckpt, dataset, threads=, model_id=, dataset_id=)``; write <stem>.json, .csv, run.json."""
     out = _out_dir(cfg, args)
     seed = _int(cfg, args, "seed", 0)
     dataset_path = _resolve(cfg, args, "dataset", required=True)
     ckpt_path = _resolve(cfg, args, "checkpoint", required=True)
     dataset = scenegen.load_dataset(dataset_path)
     ckpt = detector.load_checkpoint(ckpt_path)
-    sweep = experiments.SweepSpec(cfg["weights"]) if "weights" in cfg else None
     model_id, dataset_id = _checkpoint_ids(ckpt_path, dataset_path)
-    report = experiments.run_bg_activation_sweep(
-        ckpt, dataset, sweep, bool(cfg.get("perturb_all_stages", False)),
-        threads=args.threads, model_id=model_id, dataset_id=dataset_id)
-    report.write_json(out / "sweep.json")
-    report.write_csv(out / "sweep.csv")
-    _write_run_manifest(out, "perturb", cfg, seed, ["sweep.json", "sweep.csv"])
-    agg = report.aggregates["map50"]
+    report = runner(ckpt, dataset, threads=args.threads, model_id=model_id, dataset_id=dataset_id)
+    report.write_json(out / f"{stem}.json")
+    report.write_csv(out / f"{stem}.csv")
+    _write_run_manifest(out, command, cfg, seed, [f"{stem}.json", f"{stem}.csv"])
+    return report
+
+
+def cmd_perturb(cfg: dict, args) -> int:
+    def runner(ckpt, dataset, **kw):
+        sweep = experiments.SweepSpec(cfg["weights"]) if "weights" in cfg else None
+        return experiments.run_bg_activation_sweep(
+            ckpt, dataset, sweep, bool(cfg.get("perturb_all_stages", False)), **kw)
+
+    agg = _run_report(cfg, args, "perturb", "sweep", runner).aggregates["map50"]
     log.info("sweep min %.3f max %.3f diff %.3f", agg["min"], agg["max"], agg["diff"])
     return 0
 
 
 def cmd_ablate(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0)
-    dataset_path = _resolve(cfg, args, "dataset", required=True)
-    ckpt_path = _resolve(cfg, args, "checkpoint", required=True)
-    dataset = scenegen.load_dataset(dataset_path)
-    ckpt = detector.load_checkpoint(ckpt_path)
-    model_id, dataset_id = _checkpoint_ids(ckpt_path, dataset_path)
-    report = experiments.run_boundary_ablation(
-        ckpt, dataset, cfg.get("factors", experiments.DEFAULT_MORPH_FACTORS),
-        threads=args.threads, model_id=model_id, dataset_id=dataset_id)
-    report.write_json(out / "ablation.json")
-    report.write_csv(out / "ablation.csv")
-    _write_run_manifest(out, "ablate", cfg, seed, ["ablation.json", "ablation.csv"])
+    factors = cfg.get("factors", experiments.DEFAULT_MORPH_FACTORS)
+    _run_report(cfg, args, "ablate", "ablation",
+                lambda ckpt, dataset, **kw: experiments.run_boundary_ablation(ckpt, dataset, factors, **kw))
     return 0
 
 

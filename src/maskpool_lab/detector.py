@@ -3,13 +3,13 @@
 Fixed topology: stem conv (stride 2) -> pooling slot (3x3, stride 2) ->
 three conv-relu stages (exactly one of them stride 2) -> 1x1 conv head.
 ``build_ops`` is its single definition: an ordered list of small op objects
-(Conv, Relu, Pool, BgScale, BoxScale), each owning its forward, backward,
-saved tensors and cost, which training, inference, the mask strides and
-``count_params_flops`` all walk.  The head emits, per grid cell: an
-objectness logit, class logits and four box distances (left, top, right,
-bottom) in pixels from the cell center.  The pooling slot is max, avg or
-mask pooling; it never carries parameters, so all variants share parameter
-counts and can be trained from identical seeds for head-to-head comparison.
+(Conv, Relu, Pool, BgScale, BoxScale), each owning its forward, backward
+and saved tensors, which training, inference and the mask strides all walk.
+The head emits, per grid cell: an objectness logit, class logits and four
+box distances (left, top, right, bottom) in pixels from the cell center.
+The pooling slot is max, avg or mask pooling; it never carries parameters,
+so all variants share parameter counts and can be trained from identical
+seeds for head-to-head comparison.
 """
 
 from __future__ import annotations
@@ -209,10 +209,6 @@ class Op:
 
     mask_stride = None  # feature stride of the mask level the op reads
 
-    def cost(self, model: Model, c: int, size: int):
-        """(params, multiply-adds, out channels, out size) for one image."""
-        return 0, 0, c, size
-
 
 @dataclass
 class Conv(Op):
@@ -234,11 +230,6 @@ class Conv(Op):
         return nn.conv2d_backward(self.x, run.model.layers[self.name], grad, self.stride,
                                   self.padding, input_grad=self.name != "stem",
                                   cols=vars(self).pop("cols"))
-
-    def cost(self, model, c, size):
-        oc, ic, k, _ = model.layers[self.name].weights.shape
-        size = nn.out_size(size, k, self.stride, self.padding)
-        return oc * ic * k * k + oc, size * size * oc * ic * k * k, oc, size
 
 
 class Relu(Op):
@@ -273,13 +264,6 @@ class Pool(Op):
         if self.variant == "avg":
             return nn.avgpool2d_backward(self.x, grad, 3, 2, 1)
         return maskpool.maskpool2d_backward(self.x, run.levels[self.mask_stride], grad, self.saved)
-
-    def cost(self, model, c, size):
-        # avg and mask pooling: one add per valid window pixel plus one
-        # divide per window; max pooling: none
-        counts = nn.window_counts(size, size, 3, 2, 1)
-        macs = 0 if self.variant == "max" else (int(counts.sum()) + counts.size) * c
-        return 0, macs, c, nn.out_size(size, 3, 2, 1)
 
 
 @dataclass
@@ -558,22 +542,6 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
         if log_every and (it % log_every == 0 or it + 1 == iterations):
             log.info("iter %d/%d loss %.5f", it, iterations, loss)
     return checkpoint_from_model(model, seed=seed, iterations=int(iterations))
-
-
-# ---------------------------------------------------------------------------
-# compute accounting
-# ---------------------------------------------------------------------------
-
-def count_params_flops(model: Model, image_size: int | None = None):
-    """Analytic parameter and multiply-add counts for a single image, summed
-    over the op list (see ``Op.cost``)."""
-    params = macs = 0
-    c, size = 3, int(image_size or model.cfg.image_size)
-    for op in build_ops(model.cfg):
-        p, m, c, size = op.cost(model, c, size)
-        params += p
-        macs += m
-    return params, macs
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ class EvalResult:
 
 def evaluate_records(model, records, class_names, levels=None,
                      bg_weight: float = 1.0, perturb_all_stages: bool = False,
-                     hierarchy=None, batch_size: int = 16, *, settings=None, threads: int = 1):
+                     batch_size: int = 16, *, settings=None, threads: int = 1):
     """Run inference over records and score mAP50 + hierarchical F1 for one setting:
     ``levels`` (the records' per-stride mask stacks, ``detector.mask_levels``; by default
     built from their own masks), ``bg_weight`` and ``perturb_all_stages``.  Given
@@ -181,7 +181,7 @@ def evaluate_records(model, records, class_names, levels=None,
 
         _map_ordered(finish, range(len(settings)), threads)
     gts_by_image = {r.image_id: r.instances for r in records}
-    hierarchy = hierarchy or metrics.hierarchy_for(class_names)
+    hierarchy = metrics.hierarchy_for(class_names)
 
     def score(dets_by_image):
         m, per_class = metrics.map50(dets_by_image, gts_by_image, len(class_names))
@@ -229,6 +229,24 @@ def run_bg_activation_sweep(ckpt, dataset, sweep: SweepSpec | None = None,
     return report
 
 
+def _swap_eval(ckpt, dataset, intervention: str, keys, swap, threads: int,
+               model_id: str, dataset_id: str) -> ExperimentReport:
+    """One row per key: the records as ``swap(records, key)`` re-composites them, scored
+    with the originals' masks."""
+    model = _model_of(ckpt)
+    records, class_names = load_records(dataset)
+    levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records])
+
+    def one(key):
+        r = evaluate_records(model, swap(records, key), class_names, levels=levels)
+        return ReportRow(key, r.map50, r.per_class_ap, r.per_class_hf)
+
+    report = ExperimentReport(model_id, dataset_id, intervention,
+                              notes={"bg_fit": "aspect-preserving scale + center crop"})
+    report.rows = _map_ordered(one, keys, threads)
+    return report
+
+
 def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 0,
                        feather_radius: int = 0, threads: int = 1,
                        model_id: str = "model", dataset_id: str = "dataset") -> ExperimentReport:
@@ -237,20 +255,9 @@ def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int =
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     if not bg_pool:
         raise ConfigurationError("background pool is empty")
-    model = _model_of(ckpt)
-    records, class_names = load_records(dataset)
-    levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records])
-
-    def one(rep):
-        swapped = [scenegen.composite_random_bg(r, bg_pool, seed ^ rep, feather_radius)
-                   for r in records]
-        r = evaluate_records(model, swapped, class_names, levels=levels)
-        return ReportRow(rep, r.map50, r.per_class_ap, r.per_class_hf)
-
-    report = ExperimentReport(model_id, dataset_id, "random_bg",
-                              notes={"bg_fit": "aspect-preserving scale + center crop"})
-    report.rows = _map_ordered(one, list(range(repetitions)), threads)
-    return report
+    return _swap_eval(ckpt, dataset, "random_bg", range(repetitions), lambda records, rep: [
+        scenegen.composite_random_bg(r, bg_pool, seed ^ rep, feather_radius) for r in records],
+        threads, model_id, dataset_id)
 
 
 def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 0,
@@ -260,21 +267,10 @@ def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 
     if not 1 <= repetitions <= len(bg_pool):
         raise ConfigurationError(f"repetitions must be between 1 and the pool size, got "
                                  f"{repetitions} repetitions for {len(bg_pool)} backgrounds")
-    model = _model_of(ckpt)
-    records, class_names = load_records(dataset)
-    levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records])
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 11)))
     chosen = [int(i) for i in rng.choice(len(bg_pool), size=repetitions, replace=False)]
-
-    def one(bg_index):
-        swapped = scenegen.composite_fixed_bg(records, bg_pool[bg_index], feather_radius)
-        r = evaluate_records(model, swapped, class_names, levels=levels)
-        return ReportRow(bg_index, r.map50, r.per_class_ap, r.per_class_hf)
-
-    report = ExperimentReport(model_id, dataset_id, "fixed_bg",
-                              notes={"bg_fit": "aspect-preserving scale + center crop"})
-    report.rows = _map_ordered(one, chosen, threads)
-    return report
+    return _swap_eval(ckpt, dataset, "fixed_bg", chosen, lambda records, i: scenegen.composite_fixed_bg(
+        records, bg_pool[i], feather_radius), threads, model_id, dataset_id)
 
 
 def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads: int = 1,

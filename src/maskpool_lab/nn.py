@@ -14,12 +14,11 @@ Convolution writes im2col columns straight from the unpadded activation for
 one matmul (a 1x1 stride-1 conv uses the input itself); a training forward
 hands them to the backward (``with_cols``).  Pooling reads its input as
 stride-phase planes (``_Phases``), where each window pixel is one contiguous
-run; the avg and mask pooling backwards and the stride-1 conv fold add those
-runs into gradient planes, the strided conv fold (``_fold``) adds each window
-pixel's in-image part (``_taps``) into the unpadded gradient.  Every sum runs in
-row-major window order from +0.0.  That order fixes every rounding, so it keeps
-checkpoints and reports byte-identical and must not change; the padded kernels
-in tests/pool_reference.py and tests/conv_reference.py pin it.
+run; the avg and mask pooling backwards and every conv's input-gradient fold
+add those runs into gradient planes.  Every sum runs in row-major window
+order from +0.0.  That order fixes every rounding, so it keeps checkpoints
+and reports byte-identical and must not change; the padded kernels in
+tests/pool_reference.py and tests/conv_reference.py pin it.
 """
 
 from __future__ import annotations
@@ -246,16 +245,6 @@ def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0,
     return (y, cols) if with_cols else y
 
 
-def _fold(parts: Array, shape, kernel: int, stride: int, padding: int) -> Array:
-    """Input gradient of ``shape`` from (n, c, kernel*kernel, oh, ow) window pixel parts, each
-    pixel's in-image part added into the unpadded gradient in row-major window order."""
-    (h, w), (oh, ow) = shape[2:], parts.shape[3:]
-    gx = np.zeros(shape, dtype=parts.dtype)
-    for k, (out, inp) in enumerate(_taps(h, w, kernel, stride, padding, oh, ow)):
-        gx[inp] += parts[:, :, k][out]
-    return gx
-
-
 def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
                     padding: int = 0, input_grad: bool = True, cols: Array | None = None) -> Array | None:
     """Gradients of conv2d_forward; accumulates into p.grad_weights / p.grad_bias.
@@ -280,19 +269,18 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
     if not input_grad:
         return None
     wt = p.weights.reshape(oc, -1).T.astype(x.dtype)
-    # A stride-1 conv folds through the phase planes' contiguous runs instead, with
-    # grad_out widened by zero columns that add wt @ 0 = +-0 and so change no sum (a
-    # non-finite weight would make them NaN; a single column, oh*ow == 1, goes through
-    # gemv, not gemm).  The bits rely on the matmul computing each column the same
-    # whatever the column count: OpenBLAS's sgemm does, its dgemm does not for the last
-    # columns of a large product, so float64 gradients (checks only) may differ from
-    # ``_fold``'s in the last bits.
-    if stride == 1 and oh * ow > 1 and np.isfinite(wt).all():
-        ph = _Phases(h, w, kh, 1, padding)
-        wide = g if ph.wq == ow else ph.widen(grad_out, grad_out.dtype)
-        gcols = np.matmul(wt, wide).reshape(n, ic, kh * kw, ph.span)
-        return ph.fold(np.moveaxis(gcols, 2, 0), x.shape, gcols.dtype)
-    return _fold(np.matmul(wt, g).reshape(n, ic, kh * kw, oh, ow), x.shape, kh, stride, padding)
+    # The fold adds each window pixel's run of gradient columns over the output grid
+    # widened to wq columns (``_Phases``).  Zero columns of grad_out add wt @ 0 = +-0,
+    # which changes no sum that starts from +0.0; with a non-finite weight (NaN there)
+    # or one column (gemv, not gemm) the product is widened with +0.0 instead.  OpenBLAS's
+    # sgemm computes each column the same whatever the column count; its dgemm does not for
+    # a large product's last columns, so float64 (checks only) may differ in the last bits.
+    ph = _Phases(h, w, kh, stride, padding)
+    wide = ph.wq > ow and oh * ow > 1 and np.isfinite(wt).all()
+    gcols = np.matmul(wt, ph.widen(grad_out, grad_out.dtype) if wide else g)
+    if ph.wq > ow and not wide:
+        gcols = ph.widen(gcols.reshape(n, -1, oh, ow), gcols.dtype)
+    return ph.fold(np.moveaxis(gcols.reshape(n, ic, kh * kw, ph.span), 2, 0), x.shape, gcols.dtype)
 
 
 # ---------------------------------------------------------------------------

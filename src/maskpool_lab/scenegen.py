@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, load_json, write_json
+from .errors import ConfigurationError, ParseError, check_numbers, load_json, write_json
 
 DEFAULT_CLASSES = ("circle", "square", "triangle")
 DEFAULT_TEXTURES = ("stripes", "checker", "noise", "gradient")
@@ -364,8 +364,10 @@ def generate_dataset(n_images: int, image_size: int = 128,
     returns the list of in-memory records."""
     if n_images < 1:
         raise ConfigurationError("n_images must be >= 1")
-    if objects_per_image[0] < 1 or objects_per_image[0] > objects_per_image[1]:
-        raise ConfigurationError(f"bad objects_per_image range {objects_per_image}")
+    for key, lo_hi in (("objects_per_image", objects_per_image), ("size_range", size_range)):
+        lo_hi = check_numbers(lo_hi, key, integer=True, minimum=1)
+        if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
+            raise ConfigurationError(f"{key} must be two integers lo <= hi, got {list(lo_hi)}")
     check_size_range(image_size, size_range)
     bias = bias or BiasSpec.uniform(len(classes), len(textures))
     if bias.matrix.shape != (len(classes), len(textures)):
@@ -496,8 +498,10 @@ def generate_bg_pool(n: int, size: int, seed: int = 0) -> list:
 
 def load_bg_pool(directory) -> list:
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigurationError(f"bg.dir {str(directory)!r} is missing or not a directory")
     paths = sorted(p for p in directory.iterdir()
-                   if p.suffix.lower() in (".ppm", ".png", ".jpg", ".jpeg"))
+                   if p.suffix.lower() in (".ppm", ".png", ".jpg", ".jpeg") and p.is_file())
     if not paths:
         raise ConfigurationError(f"no background images found in {directory}")
     return [read_image_any(p) for p in paths]

@@ -3,11 +3,10 @@ op list in ``detector``.
 
 The topology used to be written out as a tuple plan (``_plan``, an if-ladder
 over pool placement x background mode), walked by string dispatch in
-``_run_forward`` / ``_run_backward``, walked again by ``count_params_flops``,
-and driven by a ``train`` loop that downsampled each batch's masks to the
-strides it reads.  The op list must reproduce these head outputs,
-parameter gradients, cost counts and checkpoints bit for bit.  Its
-convolutions are the former kernels in ``conv_reference``.
+``_run_forward`` / ``_run_backward``, and driven by a ``train`` loop that
+downsampled each batch's masks to the strides it reads.  The op list must
+reproduce these head outputs, parameter gradients and checkpoints bit for
+bit.  Its convolutions are the former kernels in ``conv_reference``.
 """
 
 import numpy as np
@@ -128,29 +127,6 @@ def _run_backward(model, cache, grad, mask_levels, bg_weight):
             else:
                 x, record = saved
                 grad = maskpool.maskpool2d_backward(x, mask_levels[2], grad, record)
-
-
-def count_params_flops(model, image_size=None):
-    cfg = model.cfg
-    size = int(image_size or cfg.image_size)
-    params = 0
-    macs = 0
-    cur = size
-    for op in _plan(cfg, None):
-        if op[0] == "conv":
-            _, name, stride, padding = op
-            p = model.layers[name]
-            oc, ic, k, _ = p.weights.shape
-            params += oc * ic * k * k + oc
-            cur = nn.out_size(cur, k, stride, padding)
-            macs += cur * cur * oc * ic * k * k
-        elif op[0] == "pool":
-            if cfg.pooling_variant in ("avg", "mask"):
-                counts = nn.window_counts(cur, cur, 3, 2, 1)
-                in_c = model.layers["stage1" if cfg.pool_placement == "post_stem" else "stage2"].weights.shape[1]
-                macs += int(counts.sum()) * in_c + counts.size * in_c
-            cur = nn.out_size(cur, 3, 2, 1)
-    return params, macs
 
 
 def train(records, model_cfg, opt_cfg, iterations, batch_size=8, seed=0):

@@ -239,6 +239,16 @@ class TestGen:
         m, _ = metrics.map50(dets, gts, manifest.num_classes)
         assert f"{m:.3f}" == "100.000"
 
+    @pytest.mark.parametrize("key", ["objects_per_image", "size_range"])
+    @pytest.mark.parametrize("value", [[1], ["a", "b"], [1, 2.5], [3, 2], [0, 2], 5])
+    def test_malformed_range_exit_1(self, tmp_path, capsys, key, value):
+        out = tmp_path / "data"
+        cfg = write_config(tmp_path / "gen.json", **{"n_images": 2, "image_size": 64,
+                                                     "size_range": [12, 28], key: value, "out": str(out)})
+        assert cli.main(["gen", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -302,6 +312,76 @@ class TestPipeline:
         assert b.image_id == a.image_id + "+rbg"
         assert np.array_equal(a.fg_mask, b.fg_mask)
         assert not np.array_equal(a.image, b.image)
+
+    def test_swap_bg_fixed_mode_shares_one_background(self, pipeline, tmp_path):
+        root, data, _ = pipeline
+        out = tmp_path / "swapped"
+        cfg = write_config(tmp_path / "s.json", dataset=str(data), mode="fixed",
+                           bg={"generate": {"n": 4}}, seed=2, out=str(out))
+        assert cli.main(["swap-bg", "--config", cfg]) == 0
+        swapped, original = scenegen.load_dataset(out), scenegen.load_dataset(data)
+        assert len(swapped) == len(original)
+        pairs = [(original.load_record(i), swapped.load_record(i)) for i in range(len(original))]
+        first_bg = pairs[0][1].fg_mask == 0
+        for a, b in pairs:
+            assert b.image_id == a.image_id + "+1bg"
+            assert np.array_equal(a.fg_mask, b.fg_mask)
+            fg = a.fg_mask.astype(bool)
+            assert np.array_equal(a.image[fg], b.image[fg])
+            assert not np.array_equal(a.image, b.image)
+            # every image's background is the same pool image
+            both = ~fg & first_bg
+            assert np.array_equal(b.image[both], pairs[0][1].image[both])
+
+    def test_swap_bg_reads_ppm_directory(self, pipeline, tmp_path):
+        root, data, _ = pipeline
+        bg_dir = tmp_path / "bgs"
+        bg_dir.mkdir()
+        colours = [(200, 30, 30), (30, 200, 30)]
+        for i, colour in enumerate(colours):
+            scenegen.write_ppm(bg_dir / f"bg{i}.ppm", np.full((64, 64, 3), colour, np.uint8))
+        (bg_dir / "notes.txt").write_text("not an image")
+        (bg_dir / "more.ppm").mkdir()  # a directory, not an image
+        out = tmp_path / "swapped"
+        cfg = write_config(tmp_path / "s.json", dataset=str(data), bg={"dir": str(bg_dir)},
+                           seed=2, out=str(out))
+        assert cli.main(["swap-bg", "--config", cfg]) == 0
+        swapped = scenegen.load_dataset(out)
+        for i in range(len(swapped)):
+            b = swapped.load_record(i)
+            bg = b.image[b.fg_mask == 0]
+            assert any(np.all(bg == c) for c in colours)
+
+    @pytest.mark.parametrize("case", ["missing", "file"])
+    def test_swap_bg_bad_dir_exit_1(self, pipeline, tmp_path, capsys, case):
+        root, data, _ = pipeline
+        bg_dir = tmp_path / "bgs"
+        if case == "file":
+            bg_dir.write_text("a file, not a directory")
+        out = tmp_path / "swapped"
+        cfg = write_config(tmp_path / "s.json", dataset=str(data), bg={"dir": str(bg_dir)},
+                           out=str(out))
+        assert cli.main(["swap-bg", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "bg.dir" in err and str(bg_dir) in err
+        assert not (out / "run.json").exists()
+
+    def test_swap_bg_png_without_pillow_exit_1(self, pipeline, tmp_path, capsys):
+        try:
+            import PIL  # noqa: F401
+            pytest.skip("Pillow is installed")
+        except ImportError:
+            pass
+        root, data, _ = pipeline
+        bg_dir = tmp_path / "bgs"
+        bg_dir.mkdir()
+        (bg_dir / "bg.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        out = tmp_path / "swapped"
+        cfg = write_config(tmp_path / "s.json", dataset=str(data), bg={"dir": str(bg_dir)},
+                           out=str(out))
+        assert cli.main(["swap-bg", "--config", cfg]) == 1
+        assert "bg.png: only .ppm supported without Pillow" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
 
     def test_perturb_replayable_bitwise(self, pipeline, tmp_path):
         root, data, ckpts = pipeline

@@ -16,13 +16,14 @@ operand order inside numpy's loops, which differs between strided and
 contiguous slices.  Outputs and parameter gradients come from unchanged code
 and keep the payload too.
 
-The stride-1 fold multiplies on an output grid widened by kernel - 1 zero
-columns per row, so it relies on the BLAS gemm computing each output column
-the same way whatever the number of columns.  OpenBLAS's sgemm does; its
-dgemm computes the last (columns mod 8) of a large product with another
-kernel, so at float64 (gradient checks only) the input gradient can differ
-from the reference in the last bits: ``test_float64_fold_limit`` pins that
-limit, and every float32 case stays bitwise.
+The fold multiplies, at every stride, on an output grid widened by
+(kernel - 1) // stride zero columns per row, so it relies on the BLAS gemm
+computing each output column the same way whatever the number of columns.
+OpenBLAS's sgemm does; its dgemm computes the last (columns mod 8) of a
+large product with another kernel, so at float64 (gradient checks only)
+the input gradient can differ from the reference in the last bits:
+``test_float64_fold_limit`` pins that limit, and every float32 case stays
+bitwise.
 """
 
 import numpy as np
@@ -152,8 +153,8 @@ def test_single_output_pixel(kernel, padding, size):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("stride", [1, 2])
 def test_non_finite_weight(bad, stride, at):
-    # the stride-1 fold widens the output grid with zero columns, and
-    # inf * 0 is NaN there: such a layer must still give the reference's bits
+    # the fold widens the output grid with zero columns, and inf * 0 is
+    # NaN there: such a layer must still give the reference's bits
     rng = np.random.default_rng(1)
     params = layers(rng, 3, 2, 3)
     for p in params:
@@ -190,7 +191,10 @@ def detector_geometries(placement, image_size=128):
     for op in detector.build_ops(cfg):
         if isinstance(op, detector.Conv):
             out.append((op.name, c, size, op.stride, op.padding))
-        _, _, c, size = op.cost(model, c, size)
+            oc, _, k, _ = model.layers[op.name].weights.shape
+            c, size = oc, nn.out_size(size, k, op.stride, op.padding)
+        elif isinstance(op, detector.Pool):
+            size = nn.out_size(size, 3, 2, 1)
     return model, out
 
 

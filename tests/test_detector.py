@@ -38,11 +38,12 @@ def batch_loss(model, records):
 
 class TestBuild:
     def test_param_count_invariant_across_variants(self):
-        counts = set()
+        # the pooling slot carries no parameters, so every variant has the same ones
+        shapes = set()
         for variant in detector.POOLING_VARIANTS:
             model = detector.build_model(small_cfg(variant), seed=1)
-            counts.add(detector.count_params_flops(model)[0])
-        assert len(counts) == 1
+            shapes.add(tuple((p.weights.shape, p.bias.shape) for p in model.params()))
+        assert len(shapes) == 1
 
     def test_same_seed_same_init(self):
         a = detector.build_model(small_cfg(), seed=9)
@@ -467,49 +468,6 @@ class TestWholeNetworkGradient:
         err = grad_check(loss, grad, x, epsilon=1e-4, grad_out=np.ones(()),
                             exclude=np.abs(x) < 1e-2)
         assert err < 1e-3
-
-
-class TestComputeCounts:
-    def hand_counts(self, channels, num_classes, image_size):
-        c0, c1, c2, c3 = channels
-        head_c = 1 + num_classes + 4
-        params = (c0 * 3 * 9 + c0) + (c1 * c0 * 9 + c1) + (c2 * c1 * 9 + c2) \
-            + (c3 * c2 * 9 + c3) + (head_c * c3 + head_c)
-        s = image_size // 2          # after stem
-        g = s // 2                   # after pool
-        q = g // 2                   # after stride-2 stage
-        macs = s * s * c0 * 3 * 9 + q * q * c1 * c0 * 9 + q * q * c2 * c1 * 9 \
-            + q * q * c3 * c2 * 9 + q * q * head_c * c3
-        return params, macs
-
-    def test_default_config_matches_hand_sum(self):
-        cfg = detector.ModelConfig()
-        model = detector.build_model(cfg, seed=0)
-        params, macs = detector.count_params_flops(model)
-        assert (params, macs) == self.hand_counts(cfg.channels, cfg.num_classes, cfg.image_size)
-
-    def test_mask_variant_counts_window_work(self):
-        cfg = detector.ModelConfig(pooling_variant="mask")
-        model = detector.build_model(cfg, seed=0)
-        params, macs = detector.count_params_flops(model)
-        base_params, base_macs = self.hand_counts(cfg.channels, cfg.num_classes, cfg.image_size)
-        assert params == base_params
-        s = cfg.image_size // 2
-        valid_total = 0
-        windows = 0
-        for i in range(0, s + 2 - 3 + 1, 2):
-            for j in range(0, s + 2 - 3 + 1, 2):
-                n_valid = sum(1 for ki in range(3) for kj in range(3)
-                              if 0 <= i - 1 + ki < s and 0 <= j - 1 + kj < s)
-                valid_total += n_valid
-                windows += 1
-        assert macs == base_macs + cfg.channels[0] * (valid_total + windows)
-
-    def test_image_size_override(self):
-        model = detector.build_model(detector.ModelConfig(), seed=0)
-        p1, m1 = detector.count_params_flops(model, image_size=256)
-        p0, m0 = detector.count_params_flops(model)
-        assert p1 == p0 and m1 == 4 * m0
 
 
 class TestCheckpoint:

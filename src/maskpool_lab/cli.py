@@ -68,16 +68,12 @@ def _int(cfg: dict, args, key: str, default=None, minimum=None) -> int:
                         integer=True, minimum=minimum)
 
 
-def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _write_run_manifest(out_dir: Path, command: str, cfg: dict, seed, artifacts) -> None:
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     doc = {
         "schema": 1,
         "command": command,
-        "config_hash": _config_hash(cfg),
+        "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": seed,
         "artifacts": sorted(str(a) for a in artifacts),
     }
@@ -110,6 +106,8 @@ def _bg_pool_from_config(spec, image_size: int, seed: int):
     if not isinstance(spec, dict) or not ({"dir", "generate"} & set(spec)):
         raise ConfigurationError("bg config must carry 'dir' or 'generate'")
     if "dir" in spec:
+        if not Path(spec["dir"]).is_dir():
+            raise ConfigurationError(f"bg.dir {str(spec['dir'])!r} is missing or not a directory")
         return scenegen.load_bg_pool(spec["dir"])
     gen = dict(spec["generate"])
     extra = set(gen) - {"n", "seed", "size"}

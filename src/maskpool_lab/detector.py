@@ -502,6 +502,20 @@ def _first_bad_layer(model: Model) -> str:
     return "loss"
 
 
+def _train_step(model: Model, opt_cfg: nn.OptimizerConfig, it: int, images, instances, levels) -> float:
+    """One SGD step.  Its ops and every activation, column and gradient die when it
+    returns, so each step starts from the same heap and reuses the last one's pages."""
+    cfg = model.cfg
+    step = Pass(build_ops(cfg), model, levels, keep=True)
+    head = DetHeadOutput.from_raw(step.forward(images_to_tensor(images)), cfg.num_classes)
+    loss, grad_raw = compute_loss(head, assign_targets(instances, cfg.grid_size, cfg.grid_stride))
+    if not np.isfinite(loss):
+        raise TrainingDiverged(it, _first_bad_layer(model))
+    step.backward(grad_raw)
+    nn.sgd_step(model.params(), opt_cfg)
+    return loss
+
+
 def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
           iterations: int, batch_size: int = 8, seed: int = 0,
           log_every: int = 50) -> Checkpoint:
@@ -514,12 +528,10 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
         raise ConfigurationError("training dataset is empty")
     images = np.stack([r.image for r in records])
     instances = [r.instances for r in records]
-    ops = build_ops(model_cfg)
     levels = mask_levels(model_cfg, [r.fg_mask for r in records])
 
     model = build_model(model_cfg, seed)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))
-    grid = model_cfg.grid_size
     batch_size = min(int(batch_size), len(records))
     order = np.empty(0, dtype=np.int64)
     cursor = 0
@@ -529,16 +541,8 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        x = images_to_tensor(images[idx])
-        step = Pass(ops, model, levels and {s: lv[idx] for s, lv in levels.items()}, keep=True)
-        raw = step.forward(x)
-        head = DetHeadOutput.from_raw(raw, model_cfg.num_classes)
-        targets = assign_targets([instances[i] for i in idx], grid, model_cfg.grid_stride)
-        loss, grad_raw = compute_loss(head, targets)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(it, _first_bad_layer(model))
-        step.backward(grad_raw)
-        nn.sgd_step(model.params(), opt_cfg)
+        loss = _train_step(model, opt_cfg, it, images[idx], [instances[i] for i in idx],
+                           levels and {s: lv[idx] for s, lv in levels.items()})
         if log_every and (it % log_every == 0 or it + 1 == iterations):
             log.info("iter %d/%d loss %.5f", it, iterations, loss)
     return checkpoint_from_model(model, seed=seed, iterations=int(iterations))

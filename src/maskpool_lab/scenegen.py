@@ -498,8 +498,6 @@ def generate_bg_pool(n: int, size: int, seed: int = 0) -> list:
 
 def load_bg_pool(directory) -> list:
     directory = Path(directory)
-    if not directory.is_dir():
-        raise ConfigurationError(f"bg.dir {str(directory)!r} is missing or not a directory")
     paths = sorted(p for p in directory.iterdir()
                    if p.suffix.lower() in (".ppm", ".png", ".jpg", ".jpeg") and p.is_file())
     if not paths:

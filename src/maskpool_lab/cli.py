@@ -103,8 +103,8 @@ def _bias_from_config(spec, n_classes: int, n_textures: int) -> scenegen.BiasSpe
 def _bg_pool_from_config(spec, image_size: int, seed: int):
     if spec is None:
         spec = {"generate": {"n": 16}}
-    if not isinstance(spec, dict) or not ({"dir", "generate"} & set(spec)):
-        raise ConfigurationError("bg config must carry 'dir' or 'generate'")
+    if not (isinstance(spec, dict) and len(spec) == 1 and set(spec) <= {"dir", "generate"}):
+        raise ConfigurationError(f"bg config takes one of 'dir' or 'generate' and no other key, got {spec!r}")
     if "dir" in spec:
         if not Path(spec["dir"]).is_dir():
             raise ConfigurationError(f"bg.dir {str(spec['dir'])!r} is missing or not a directory")
@@ -132,13 +132,13 @@ def _checkpoint_ids(ckpt_path, dataset_path):
 def cmd_gen(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     seed = _int(cfg, args, "seed", 0)
-    classes = cfg.get("classes", list(scenegen.DEFAULT_CLASSES))
-    textures = cfg.get("textures", list(scenegen.DEFAULT_TEXTURES))
+    classes, textures = (scenegen.check_names(key, cfg.get(key, known), known) for key, known in
+                         (("classes", scenegen.DEFAULT_CLASSES), ("textures", scenegen.DEFAULT_TEXTURES)))
     bias = _bias_from_config(cfg.get("bias"), len(classes), len(textures))
     manifest = scenegen.generate_dataset(
         n_images=_int(cfg, args, "n_images"),
         image_size=_int(cfg, args, "image_size", 128),
-        classes=tuple(classes), textures=tuple(textures), bias=bias,
+        classes=classes, textures=textures, bias=bias,
         objects_per_image=cfg.get("objects_per_image", (1, 4)),
         seed=seed, out_dir=out,
         size_range=cfg.get("size_range", scenegen.DEFAULT_SIZE_RANGE))

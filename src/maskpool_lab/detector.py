@@ -526,8 +526,6 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
     records = dataset.load_all() if hasattr(dataset, "load_all") else list(dataset)
     if not records:
         raise ConfigurationError("training dataset is empty")
-    images = np.stack([r.image for r in records])
-    instances = [r.instances for r in records]
     levels = mask_levels(model_cfg, [r.fg_mask for r in records])
 
     model = build_model(model_cfg, seed)
@@ -541,8 +539,9 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        loss = _train_step(model, opt_cfg, it, images[idx], [instances[i] for i in idx],
-                           levels and {s: lv[idx] for s, lv in levels.items()})
+        batch = [records[i] for i in idx]
+        loss = _train_step(model, opt_cfg, it, np.stack([r.image for r in batch]),
+                           [r.instances for r in batch], levels and {s: lv[idx] for s, lv in levels.items()})
         if log_every and (it % log_every == 0 or it + 1 == iterations):
             log.info("iter %d/%d loss %.5f", it, iterations, loss)
     return checkpoint_from_model(model, seed=seed, iterations=int(iterations))

@@ -216,7 +216,5 @@ def morph_perturb(m: Array, mode: str, area_factor: float) -> Array:
             return cur.astype(np.uint8)
         cur = nxt
         area = int(cur.sum())
-        if mode == "dilate" and area >= target:
-            return cur.astype(np.uint8)
-        if mode == "erode" and area <= target:
+        if area >= target if mode == "dilate" else area <= target:
             return cur.astype(np.uint8)

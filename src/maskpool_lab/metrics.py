@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -141,11 +142,7 @@ def _area_under_envelope(points):
     """
     if not points:
         return 0.0
-    env = [0.0] * len(points)
-    running = 0.0
-    for i in range(len(points) - 1, -1, -1):
-        running = max(running, points[i][1])
-        env[i] = running
+    env = list(accumulate((p for _r, p in reversed(points)), max, initial=0.0))[:0:-1]
     ap = 0.0
     prev_r = 0.0
     for (r, _p), e in zip(points, env):

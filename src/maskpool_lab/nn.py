@@ -125,10 +125,6 @@ def _taps(h: int, w: int, kernel: int, stride: int, padding: int, oh: int, ow: i
     return [((..., ro, co), (..., ri, ci)) for ro, ri in spans(h, oh) for co, ci in spans(w, ow)]
 
 
-def _crop(xp: Array, padding: int) -> Array:
-    return xp[:, :, padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
-
-
 class _Phases:
     """Stride-phase planes (space-to-depth) of a window op's padded input.
 
@@ -308,16 +304,6 @@ def relu_backward(x: Array, grad_out: Array) -> Array:
 # pooling (padded positions are never counted, averaged or selected)
 # ---------------------------------------------------------------------------
 
-def _flat_index(argmax: Array, padded_shape, kernel: int, stride: int) -> Array:
-    """Flat index into the padded (n, c, H, W) buffer of each window's argmax pixel."""
-    n, c, hp, wp = padded_shape
-    oh, ow = argmax.shape[2:]
-    flat = np.take((np.arange(kernel)[:, None] * wp + np.arange(kernel)).reshape(-1), argmax)
-    flat += (np.arange(oh)[:, None] * wp + np.arange(ow)) * stride
-    flat += np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
-    return flat
-
-
 def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
     """Returns (pooled, argmax) where argmax is the (n, c, oh*ow) in-window index
     (row-major) of the selected pixel: the first occurrence of the maximum, or
@@ -356,14 +342,19 @@ def maxpool2d_backward(x: Array, argmax: Array, grad_out: Array,
     oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
     if grad_out.shape != (n, c, oh, ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, oh, ow)}")
-    gp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    flat = _flat_index(argmax.reshape(n, c, oh, ow), gp.shape, kernel, stride)
+    wp = w + 2 * padding
+    gp = np.zeros((n, c, h + 2 * padding, wp), dtype=x.dtype)
+    # the flat index into gp of each window's argmax pixel
+    window = (np.arange(kernel)[:, None] * wp + np.arange(kernel)).reshape(-1)
+    flat = np.take(window, argmax.reshape(n, c, oh, ow))
+    flat += (np.arange(oh)[:, None] * wp + np.arange(ow)) * stride
+    flat += np.arange(n * c).reshape(n, c, 1, 1) * gp[0, 0].size
     # np.add.at applies its updates one at a time, in order.  Of the windows
     # that select one pixel, a later window pixel means an earlier output, so
     # walking the outputs backwards adds in row-major window order.
     np.add.at(gp.reshape(-1), flat.reshape(-1)[::-1],
               grad_out.astype(x.dtype, copy=False).reshape(-1)[::-1])
-    return _crop(gp, padding)
+    return gp[:, :, padding:padding + h, padding:padding + w]
 
 
 def avgpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0) -> Array:

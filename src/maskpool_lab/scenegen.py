@@ -17,6 +17,7 @@ intervention well-defined against an unchanged ground truth.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
@@ -59,7 +60,7 @@ class ImageRecord:
         h, w = self.fg_mask.shape
         if self.image.shape != (h, w, 3):
             raise ConfigurationError(f"image/mask shape mismatch in {self.image_id}")
-        if not np.isin(self.fg_mask, (0, 1)).all():
+        if not ((self.fg_mask == 0) | (self.fg_mask == 1)).all():
             raise ConfigurationError(f"non-binary mask in {self.image_id}")
         for inst in self.instances:
             inst.validate(w, h)
@@ -95,8 +96,7 @@ class BiasSpec:
         if num_textures < 2:
             raise ConfigurationError("need at least 2 textures for a concentrated bias")
         m = np.full((num_classes, num_textures), (1.0 - p) / (num_textures - 1))
-        for c in range(num_classes):
-            m[c, c % num_textures] = p
+        m[np.arange(num_classes), np.arange(num_classes) % num_textures] = p
         return cls(m)
 
 
@@ -138,7 +138,10 @@ class DatasetManifest:
 # PPM / PGM
 # ---------------------------------------------------------------------------
 
-def _parse_pnm_header(data: bytes, path, magic: bytes):
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """The (h, w, channels) pixels of a binary PNM file, a read-only view of its bytes."""
+    path = Path(path)
+    data = path.read_bytes()
     if data[:2] != magic:
         raise ParseError(path, 0, f"expected {magic.decode()} file")
     pos = 2
@@ -162,36 +165,25 @@ def _parse_pnm_header(data: bytes, path, magic: bytes):
     width, height, maxval = fields
     if maxval != 255:
         raise ParseError(path, pos, f"unsupported maxval {maxval}")
-    return width, height, pos
+    need = width * height * channels
+    if len(data) - pos < need:
+        raise ParseError(path, len(data), f"truncated pixel data: need {need} bytes, have {len(data) - pos}")
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, width, channels)
 
 
 def read_ppm(path) -> np.ndarray:
-    path = Path(path)
-    data = path.read_bytes()
-    w, h, pos = _parse_pnm_header(data, path, b"P6")
-    need = w * h * 3
-    if len(data) - pos < need:
-        raise ParseError(path, len(data), f"truncated pixel data: need {need} bytes, have {len(data) - pos}")
-    return np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3).copy()
+    return _read_pnm(path, b"P6", 3).copy()
 
 
 def write_ppm(path, image: np.ndarray) -> None:
     image = np.ascontiguousarray(image, dtype=np.uint8)
     h, w, _ = image.shape
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(image.tobytes())
+    Path(path).write_bytes(b"P6\n%d %d\n255\n" % (w, h) + image.tobytes())
 
 
 def read_mask_pgm(path) -> np.ndarray:
     """Read a P5 mask; 0 -> background, 255 -> foreground; anything else is invalid."""
-    path = Path(path)
-    data = path.read_bytes()
-    w, h, pos = _parse_pnm_header(data, path, b"P5")
-    need = w * h
-    if len(data) - pos < need:
-        raise ParseError(path, len(data), f"truncated pixel data: need {need} bytes, have {len(data) - pos}")
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(h, w)
+    raw = _read_pnm(path, b"P5", 1)[..., 0]
     if not np.isin(raw, (0, 255)).all():
         bad = int(raw[~np.isin(raw, (0, 255))][0])
         raise ConfigurationError(f"{path}: non-binary mask (value {bad})")
@@ -203,9 +195,7 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
     if not np.isin(mask, (0, 1)).all():
         raise ConfigurationError("non-binary mask")
     h, w = mask.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write((mask.astype(np.uint8) * 255).tobytes())
+    Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + (mask.astype(np.uint8) * 255).tobytes())
 
 
 def read_image_any(path) -> np.ndarray:
@@ -225,39 +215,53 @@ def read_image_any(path) -> np.ndarray:
 # textures and shapes
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _grid(h: int, w: int, offset: float = 0.0):
+    """Read-only float64 pixel coordinates plus ``offset`` as a (w,) row and an (h, 1)
+    column: broadcast, they give each pixel the values of ``np.mgrid`` + ``offset``."""
+    xx, yy = np.arange(w, dtype=np.float64) + offset, np.arange(h, dtype=np.float64)[:, None] + offset
+    xx.flags.writeable = yy.flags.writeable = False
+    return xx, yy
+
+
 def _render_texture(texture: str, h: int, w: int, rng: np.random.Generator) -> np.ndarray:
     """Textures share a mid-gray mean but differ in their bright-peak structure,
     so window maxima identify them far more crisply than window means do."""
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    xx, yy = _grid(h, w)
     if texture == "stripes":
         period = int(rng.integers(6, 9))
         theta = float(rng.choice((0.0, 45.0, 90.0, 135.0))) * math.pi / 180.0
         coord = xx * math.cos(theta) + yy * math.sin(theta)
-        on = (coord % period) < 1.5  # thin near-white lines on a mid base
+        # numpy's coord % period from one floor division: where coord / period rounds up
+        # to the next integer, rest is a tiny negative number (numpy's remainder: ~period)
+        rest = coord - np.floor(coord / period) * period
+        on = (rest >= 0) & (rest < 1.5)  # thin near-white lines on a mid base
         base = rng.integers(100, 121, 3)
-        img = np.where(on[..., None], np.array([255, 255, 255]), base)
-    elif texture == "checker":
+        return np.take(np.array([base, (255, 255, 255)], dtype=np.uint8), on.view(np.uint8), axis=0)
+    if texture == "checker":
         cell = int(rng.integers(4, 9))
-        on = ((xx // cell + yy // cell) % 2) == 0
         lo = rng.integers(95, 111, 3)
         hi = rng.integers(135, 151, 3)
-        img = np.where(on[..., None], hi, lo)
-    elif texture == "noise":
-        img = rng.integers(40, 201, (h, w, 3))
-    elif texture == "gradient":
+        # a cell is bright where its column and row indices have the same parity,
+        # so the image has two distinct rows: one per row-of-cells parity
+        odd = (np.arange(w) // cell) & 1
+        rows = np.take(np.array([hi, lo], dtype=np.uint8), (odd, odd ^ 1), axis=0)
+        return np.take(rows, (np.arange(h) // cell) & 1, axis=0)
+    if texture == "noise":
+        return rng.integers(40, 201, (h, w, 3)).astype(np.uint8)
+    if texture == "gradient":
         theta = rng.uniform(0, 2 * math.pi)
         coord = xx * math.cos(theta) + yy * math.sin(theta)
         lo, hi = coord.min(), coord.max()
         ramp = (coord - lo) / max(hi - lo, 1e-9)
         img = (95 + ramp[..., None] * 50) * rng.uniform(0.9, 1.05, 3)
-    else:
-        raise ConfigurationError(f"unknown texture {texture!r}")
-    return np.clip(img, 0, 255).astype(np.uint8)
+        return np.clip(img, 0, 255).astype(np.uint8)
+    raise ConfigurationError(f"unknown texture {texture!r}")
 
 
 def _rasterize_shape(shape: str, cx: float, cy: float, size: float, h: int, w: int) -> np.ndarray:
     """Exact silhouette via pixel-center tests; ``size`` is the nominal diameter."""
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64) + 0.5
+    xx, yy = _grid(h, w, 0.5)
     half = size / 2.0
     if shape == "circle":
         return ((xx - cx) ** 2 + (yy - cy) ** 2 <= half ** 2)
@@ -268,7 +272,7 @@ def _rasterize_shape(shape: str, cx: float, cy: float, size: float, h: int, w: i
         inside = yy <= cy + half
         # left edge from apex to (cx-half, cy+half):  x >= cx - (y - (cy-half)) / 2
         t = (yy - (cy - half)) / 2.0
-        inside &= xx >= cx - t
+        inside = inside & (xx >= cx - t)
         inside &= xx <= cx + t
         inside &= yy >= cy - half
         return inside
@@ -276,10 +280,10 @@ def _rasterize_shape(shape: str, cx: float, cy: float, size: float, h: int, w: i
 
 
 def _tight_box(sil: np.ndarray):
-    ys, xs = np.nonzero(sil)
+    ys, xs = np.flatnonzero(sil.any(axis=1)), np.flatnonzero(sil.any(axis=0))
     if ys.size == 0:
         return None
-    return (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+    return (int(xs[0]), int(ys[0]), int(xs[-1]) + 1, int(ys[-1]) + 1)
 
 
 def _box_overlap_frac(a, b) -> float:
@@ -327,21 +331,24 @@ def _generate_record(index: int, image_size: int, classes, textures, bias: BiasS
 
     # background: each pixel takes the texture of its nearest object, so every
     # object sits inside its own correlated texture region with no seam
-    # between texture and some neutral canvas to give the location away
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    dists = np.stack([(yy - cy) ** 2 + (xx - cx) ** 2 for _, _, _, _, (cy, cx) in placed])
-    nearest = dists.argmin(axis=0)
-    image = np.zeros((h, w, 3), dtype=np.uint8)
-    for i, (_cls, texture_id, _sil, _box, _c) in enumerate(placed):
-        region = nearest == i
-        image[region] = _render_texture(textures[texture_id], h, w, rng)[region]
+    # between texture and some neutral canvas to give the location away.
+    # A strictly nearer object repaints a pixel, so ties go to the first one.
+    xx, yy = _grid(h, w)
+    image, nearest = np.zeros((h, w, 3), dtype=np.uint8), np.full((h, w), np.inf)
+    pixels = image.view("V3")[..., 0]  # (h, w) 3-byte pixels: one move per masked pixel
+    for _cls, texture_id, _sil, _box, (cy, cx) in placed:
+        texture = _render_texture(textures[texture_id], h, w, rng)
+        dist = (yy - cy) ** 2 + (xx - cx) ** 2
+        closer = dist < nearest
+        np.copyto(pixels, texture.view("V3")[..., 0], where=closer)
+        np.copyto(nearest, dist, where=closer)
 
     fg_mask = np.zeros((h, w), dtype=np.uint8)
     instances = []
     for class_id, texture_id, sil, box, _c in placed:
         color = rng.integers(90, 181, 3).astype(np.uint8)
-        image[sil] = color
-        fg_mask |= sil.astype(np.uint8)
+        np.copyto(pixels, color.view("V3"), where=sil)
+        np.copyto(fg_mask, 1, where=sil)
         instances.append(Instance(class_id, box, texture_id))
 
     rec = ImageRecord(f"img{index:05d}", image, fg_mask, instances)
@@ -353,6 +360,13 @@ def check_size_range(image_size: int, size_range=DEFAULT_SIZE_RANGE) -> None:
     """ConfigurationError unless objects up to ``size_range[1]`` px fit with a 4 px margin."""
     if size_range[1] >= image_size - 4:
         raise ConfigurationError(f"image_size {image_size} leaves no room for objects of {size_range[1]} px")
+
+
+def check_names(key: str, names, known) -> tuple:
+    """``names`` as a tuple; ConfigurationError unless it is a non-empty list of ``known`` names."""
+    if not (isinstance(names, (list, tuple)) and names and all(n in known for n in names)):
+        raise ConfigurationError(f"{key} must be a non-empty list of names from {list(known)}, got {names!r}")
+    return tuple(names)
 
 
 def generate_dataset(n_images: int, image_size: int = 128,
@@ -369,6 +383,8 @@ def generate_dataset(n_images: int, image_size: int = 128,
         if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
             raise ConfigurationError(f"{key} must be two integers lo <= hi, got {list(lo_hi)}")
     check_size_range(image_size, size_range)
+    classes = check_names("classes", classes, DEFAULT_CLASSES)
+    textures = check_names("textures", textures, DEFAULT_TEXTURES)
     bias = bias or BiasSpec.uniform(len(classes), len(textures))
     if bias.matrix.shape != (len(classes), len(textures)):
         raise ConfigurationError(f"bias matrix shape {bias.matrix.shape} != "
@@ -454,10 +470,9 @@ def load_dataset(path) -> DatasetManifest:
         error = _entry_error(index, e, len(doc["classes"]))
         if error:
             raise ParseError(manifest_path, 0, error)
-        if not (root / e["file"]).exists():
-            raise ConfigurationError(f"missing image file {e['file']} (referenced by {manifest_path})")
-        if not (root / e["mask_file"]).exists():
-            raise ConfigurationError(f"missing mask file {e['mask_file']} (referenced by {manifest_path})")
+        for key, kind in (("file", "image"), ("mask_file", "mask")):
+            if not (root / e[key]).exists():
+                raise ConfigurationError(f"missing {kind} file {e[key]} (referenced by {manifest_path})")
     ids = [e["id"] for e in doc["images"]]
     if len(ids) != len(set(ids)):
         raise ConfigurationError(f"{manifest_path}: duplicate image ids")

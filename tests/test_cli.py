@@ -249,6 +249,24 @@ class TestGen:
         assert key in capsys.readouterr().err
         assert not (out / "run.json").exists()
 
+    @pytest.mark.parametrize("key", ["classes", "textures"])
+    @pytest.mark.parametrize("value", [5, "abc", ["circle", "hexagon"], []])
+    def test_bad_names_exit_1(self, tmp_path, capsys, key, value):
+        out = tmp_path / "data"
+        cfg = gen_config(tmp_path, out, n_images=2, **{key: value})
+        assert cli.main(["gen", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
+        assert not (out / "run.json").exists()
+
+    def test_names_subset_and_order_kept(self, tmp_path):
+        cfg = gen_config(tmp_path, tmp_path / "data", n_images=3, classes=["triangle", "circle"],
+                         textures=["noise", "stripes"])
+        assert cli.main(["gen", "--config", cfg]) == 0
+        manifest = scenegen.load_dataset(tmp_path / "data")
+        assert manifest.classes == ["triangle", "circle"]
+        assert {i["texture_id"] for e in manifest.images for i in e["instances"]} <= {0, 1}
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -364,6 +382,24 @@ class TestPipeline:
         assert cli.main(["swap-bg", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "bg.dir" in err and str(bg_dir) in err
+        assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("bg, names", [
+        ({"dir": "BGS", "generate": {"n": 3}}, ["dir", "generate"]),
+        ({"dir": "BGS", "bogus": 1}, ["bogus"]),
+        ({"generate": {"n": 3}, "bogus": 1}, ["bogus"]),
+        ({}, []),
+    ])
+    def test_swap_bg_bad_bg_keys_exit_1(self, pipeline, tmp_path, capsys, bg, names):
+        root, data, _ = pipeline
+        (tmp_path / "bgs").mkdir()
+        scenegen.write_ppm(tmp_path / "bgs" / "bg0.ppm", np.full((64, 64, 3), 7, np.uint8))
+        bg = {k: str(tmp_path / "bgs") if v == "BGS" else v for k, v in bg.items()}
+        out = tmp_path / "swapped"
+        cfg = write_config(tmp_path / "s.json", dataset=str(data), bg=bg, out=str(out))
+        assert cli.main(["swap-bg", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'dir' or 'generate'" in err and all(repr(k) in err for k in names)
         assert not (out / "run.json").exists()
 
     def test_swap_bg_png_without_pillow_exit_1(self, pipeline, tmp_path, capsys):

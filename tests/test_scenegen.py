@@ -83,6 +83,12 @@ class TestGeneration:
         with pytest.raises(ConfigurationError):
             scenegen.generate_dataset(1, 32, size_range=(16, 44))
 
+    @pytest.mark.parametrize("key", ["classes", "textures"])
+    @pytest.mark.parametrize("value", [5, "abc", ("circle", "hexagon"), ()])
+    def test_bad_names_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            scenegen.generate_dataset(1, 64, **{key: value})
+
     def test_unplaceable_objects_warn_and_skip(self):
         with pytest.warns(UserWarning, match="skipped"):
             recs = scenegen.generate_dataset(3, 48, seed=4, size_range=(30, 34),

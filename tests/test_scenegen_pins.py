@@ -7,13 +7,16 @@ bias, one and many objects per image, a small size range, and a crowded
 64 px config whose placements give up after 100 tries.  Any change to the
 renderer, the rasterizer, the placement loop or the order of the RNG draws
 moves a digest.  Only a change that alters the generated scenes on purpose
-re-records them.
+re-records them.  The generator is also compared, record by record, with the
+full-grid one it replaced (``scenegen_reference``), over more sizes and seeds.
 """
 
 import hashlib
 import warnings
 
+import numpy as np
 import pytest
+import scenegen_reference
 
 from maskpool_lab import scenegen
 
@@ -76,3 +79,60 @@ def test_generated_records_match_pins(name):
     skipped = [w for w in caught if "no non-overlapping placement after 100 tries" in str(w.message)]
     assert len(skipped) == n_skipped
     assert digest(records) == pin
+
+
+def same_record(a, b) -> bool:
+    return (a.image_id == b.image_id and digest([a]) == digest([b])
+            and a.image.flags.c_contiguous and a.fg_mask.flags.c_contiguous)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("size, size_range, objects, bias", [
+    (48, (8, 30), (1, 4), "uniform"),
+    (128, (16, 44), (1, 4), "concentrated"),
+    (130, (2, 9), (3, 6), "uniform"),
+    (300, (16, 80), (1, 8), "concentrated"),
+])
+def test_records_match_full_grid_reference(seed, size, size_range, objects, bias):
+    spec = getattr(scenegen.BiasSpec, bias)(3, 4)
+    args = (size, scenegen.DEFAULT_CLASSES, scenegen.DEFAULT_TEXTURES, spec, objects, size_range, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for index in range(4):
+            assert same_record(scenegen._generate_record(index, *args),
+                               scenegen_reference.generate_record(index, *args))
+
+
+@pytest.mark.parametrize("texture", scenegen.DEFAULT_TEXTURES)
+@pytest.mark.parametrize("h, w", [(1, 1), (7, 300), (129, 64), (257, 260)])
+def test_textures_match_full_grid_reference(texture, h, w):
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = scenegen._render_texture(texture, h, w, rng)
+        want = scenegen_reference.render_texture(texture, h, w, ref_rng)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
+
+
+def test_shapes_and_boxes_match_full_grid_reference():
+    rng = np.random.default_rng(0)
+    for _ in range(600):
+        h, w = (int(v) for v in rng.integers(3, 150, 2))
+        shape = scenegen.DEFAULT_CLASSES[int(rng.integers(3))]
+        size = float(rng.integers(1, 60)) if rng.random() < 0.7 else float(rng.uniform(0.5, 60))
+        cx, cy = float(rng.uniform(-10, w + 10)), float(rng.uniform(-10, h + 10))
+        got = scenegen._rasterize_shape(shape, cx, cy, size, h, w)
+        want = scenegen_reference.rasterize_shape(shape, cx, cy, size, h, w)
+        assert got.shape == want.shape and (got == want).all()
+        assert scenegen._tight_box(got) == scenegen_reference.tight_box(want)
+
+
+@pytest.mark.parametrize("period", [6, 7, 8])
+def test_stripe_remainder_matches_numpy_near_every_boundary(period):
+    """The stripes' floor-division remainder against numpy's ``%`` at values one ulp
+    around each multiple of the period and each line edge, of both signs."""
+    edges = np.arange(-400, 400, dtype=np.float64) * period
+    edges = np.concatenate([edges, edges + 1.5, [1e-17, -1e-17, 5e-324, -5e-324]])
+    coord = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    rest = coord - np.floor(coord / period) * period
+    assert (((rest >= 0) & (rest < 1.5)) == ((coord % period) < 1.5)).all()

@@ -136,3 +136,54 @@ def test_stripe_remainder_matches_numpy_near_every_boundary(period):
     coord = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
     rest = coord - np.floor(coord / period) * period
     assert (((rest >= 0) & (rest < 1.5)) == ((coord % period) < 1.5)).all()
+
+
+def test_stripes_follow_numpy_remainder_through_the_renderer(monkeypatch):
+    """At 0 degrees the stripe coordinate is the x axis itself, so patched axes feed the
+    renderer values one ulp around each line edge and multiple of the period, of both
+    signs, and subnormal ones, whose quotient by the period underflows to zero."""
+    def draws(seed):  # the renderer's first two stripe draws: period, angle
+        rng = np.random.default_rng(seed)
+        return int(rng.integers(6, 9)), float(rng.choice((0.0, 45.0, 90.0, 135.0)))
+
+    seed = next(s for s in range(200) if draws(s)[1] == 0.0)
+    period = draws(seed)[0]
+    edges = np.arange(-40, 40, dtype=np.float64) * period
+    edges = np.concatenate([edges, edges + 1.5, [1e-17, -1e-17, 5e-324, -5e-324, -1e-310]])
+    xx = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    monkeypatch.setattr(scenegen, "_grid", lambda h, w, offset=0.0: (xx, np.zeros((1, 1))))
+    image = scenegen._render_texture("stripes", 1, xx.size, np.random.default_rng(seed))
+    assert ((image[0] == 255).all(axis=1) == ((xx % period) < 1.5)).all()
+
+
+class _ScriptedRng:
+    """Stands in for the generator's Generator: the low end of every integer range,
+    index 0 of every choice, and the scripted values of ``uniform`` in turn."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def integers(self, low, high=None, size=None):
+        value = 0 if high is None else low
+        return value if size is None else np.full(size, value)
+
+    def choice(self, a, p=None):
+        return 0
+
+    def uniform(self, low, high, size=None):
+        return next(self.uniforms)
+
+
+def test_pixels_equidistant_from_two_objects_take_the_first_objects_texture(monkeypatch):
+    """Two circles centred at x = 10 and x = 30 on row 20: every pixel of column 20 is
+    exactly as far from both, and ``argmin``'s first-minimum rule gives it the first."""
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _ScriptedRng([10.0, 20.0, 30.0, 20.0]))
+    textures = iter((11, 22))
+    monkeypatch.setattr(scenegen, "_render_texture",
+                        lambda name, h, w, rng: np.full((h, w, 3), next(textures), np.uint8))
+    rec = scenegen._generate_record(0, 64, scenegen.DEFAULT_CLASSES, scenegen.DEFAULT_TEXTURES,
+                                    scenegen.BiasSpec.uniform(3, 4), (2, 2), (8, 8), 0)
+    assert [i.box for i in rec.instances] == [(6, 16, 14, 24), (26, 16, 34, 24)]
+    bg = rec.fg_mask == 0
+    assert bg[:, 20].all()
+    assert (rec.image[:, :21][bg[:, :21]] == 11).all() and (rec.image[:, 21:][bg[:, 21:]] == 22).all()

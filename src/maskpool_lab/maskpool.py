@@ -216,5 +216,5 @@ def morph_perturb(m: Array, mode: str, area_factor: float) -> Array:
             return cur.astype(np.uint8)
         cur = nxt
         area = int(cur.sum())
-        if area >= target if mode == "dilate" else area <= target:
+        if (area >= target) if mode == "dilate" else (area <= target):
             return cur.astype(np.uint8)

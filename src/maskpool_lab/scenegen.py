@@ -215,7 +215,7 @@ def read_image_any(path) -> np.ndarray:
 # textures and shapes
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _grid(h: int, w: int, offset: float = 0.0):
     """Read-only float64 pixel coordinates plus ``offset`` as a (w,) row and an (h, 1)
     column: broadcast, they give each pixel the values of ``np.mgrid`` + ``offset``."""

@@ -29,7 +29,7 @@ _ALLOWED_KEYS = {
     "train": {"schema", "dataset", "model", "optimizer", "iterations", "batch_size",
               "seed", "out"},
     "eval": {"schema", "dataset", "checkpoint", "seed", "out"},
-    "swap-bg": {"schema", "dataset", "mode", "bg", "feather_radius", "seed", "out"},
+    "swap-bg": {"schema", "dataset", "mode", "bg", "seed", "out"},
     "perturb": {"schema", "dataset", "checkpoint", "weights", "perturb_all_stages",
                 "seed", "out"},
     "ablate": {"schema", "dataset", "checkpoint", "factors", "seed", "out"},
@@ -109,12 +109,15 @@ def _bg_pool_from_config(spec, image_size: int, seed: int):
         if not Path(spec["dir"]).is_dir():
             raise ConfigurationError(f"bg.dir {str(spec['dir'])!r} is missing or not a directory")
         return scenegen.load_bg_pool(spec["dir"])
-    gen = dict(spec["generate"])
+    gen = spec["generate"]
+    if not isinstance(gen, dict):
+        raise ConfigurationError(f"bg.generate must be an object, got {gen!r}")
     extra = set(gen) - {"n", "seed", "size"}
     if extra:
         raise ConfigurationError(f"unknown bg.generate keys: {sorted(extra)}")
-    return scenegen.generate_bg_pool(*(check_number(gen.get(k, d), f"bg.generate.{k}", integer=True)
-                                       for k, d in (("n", 16), ("size", image_size), ("seed", seed))))
+    keys = (("n", 16, 1), ("size", image_size, 1), ("seed", seed, 0))  # key, default, minimum
+    return scenegen.generate_bg_pool(*(check_number(gen.get(k, d), f"bg.generate.{k}", integer=True,
+                                                    minimum=m) for k, d, m in keys))
 
 
 def _checkpoint_ids(ckpt_path, dataset_path):
@@ -131,7 +134,7 @@ def _checkpoint_ids(ckpt_path, dataset_path):
 
 def cmd_gen(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0)
+    seed = _int(cfg, args, "seed", 0, minimum=0)
     classes, textures = (scenegen.check_names(key, cfg.get(key, known), known) for key, known in
                          (("classes", scenegen.DEFAULT_CLASSES), ("textures", scenegen.DEFAULT_TEXTURES)))
     bias = _bias_from_config(cfg.get("bias"), len(classes), len(textures))
@@ -149,7 +152,7 @@ def cmd_gen(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0)
+    seed = _int(cfg, args, "seed", 0, minimum=0)
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
     model_cfg = detector.ModelConfig.from_dict(cfg.get("model", {}))
     opt_raw = cfg.get("optimizer", {})
@@ -170,7 +173,7 @@ def cmd_train(cfg: dict, args) -> int:
 
 def cmd_eval(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0)
+    seed = _int(cfg, args, "seed", 0, minimum=0)
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
     ckpt = detector.load_checkpoint(_resolve(cfg, args, "checkpoint", required=True))
     model = detector.model_from_checkpoint(ckpt)
@@ -191,19 +194,18 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_swap_bg(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0)
+    seed = _int(cfg, args, "seed", 0, minimum=0)
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
     records, class_names = experiments.load_records(dataset)
     image_size = records[0].image.shape[0] if records else 128
     pool = _bg_pool_from_config(cfg.get("bg"), image_size, seed)
     mode = cfg.get("mode", "random")
-    feather = _int(cfg, args, "feather_radius", 0)
     if mode == "random":
-        swapped = [scenegen.composite_random_bg(r, pool, seed, feather) for r in records]
+        swapped = [scenegen.composite_random_bg(r, pool, seed) for r in records]
     elif mode == "fixed":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
         bg = pool[int(rng.integers(len(pool)))]
-        swapped = scenegen.composite_fixed_bg(records, bg, feather)
+        swapped = scenegen.composite_fixed_bg(records, bg)
     else:
         raise ConfigurationError(f"swap-bg mode must be random|fixed, got {mode!r}")
     scenegen.save_dataset(swapped, class_names, out, seed=seed, bias=None)
@@ -215,7 +217,7 @@ def cmd_swap_bg(cfg: dict, args) -> int:
 def _run_report(cfg: dict, args, command: str, stem: str, runner) -> experiments.ExperimentReport:
     """Run ``runner(ckpt, dataset, threads=, model_id=, dataset_id=)``; write <stem>.json, .csv, run.json."""
     out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0)
+    seed = _int(cfg, args, "seed", 0, minimum=0)
     dataset_path = _resolve(cfg, args, "dataset", required=True)
     ckpt_path = _resolve(cfg, args, "checkpoint", required=True)
     dataset = scenegen.load_dataset(dataset_path)
@@ -248,7 +250,7 @@ def cmd_ablate(cfg: dict, args) -> int:
 
 def cmd_report(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0)
+    seed = _int(cfg, args, "seed", 0, minimum=0)
     paths = cfg.get("reports", [])
     if not (paths and isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
         raise ConfigurationError(f"report command needs a non-empty 'reports' list of paths, got {paths!r}")

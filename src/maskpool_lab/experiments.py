@@ -192,12 +192,6 @@ def evaluate_records(model, records, class_names, levels=None,
     return results[0] if one else results
 
 
-def _model_of(ckpt_or_model):
-    if isinstance(ckpt_or_model, detector.Model):
-        return ckpt_or_model
-    return detector.model_from_checkpoint(ckpt_or_model)
-
-
 def _map_ordered(fn, items, threads: int):
     if threads <= 1:
         return [fn(it) for it in items]
@@ -215,7 +209,7 @@ def run_bg_activation_sweep(ckpt, dataset, sweep: SweepSpec | None = None,
     """Scale background activations at the pooling slot's input by each sweep
     weight and score the model; applies to every pooling variant."""
     sweep = sweep or SweepSpec()
-    model = _model_of(ckpt)
+    model = detector.model_from_checkpoint(ckpt)
     records, class_names = load_records(dataset)
     # every weight but 1 walks the same op list; w = 1 reads a subset of its levels
     perturbed = next((w for w in sweep.weights if w != 1.0), 1.0)
@@ -233,7 +227,7 @@ def _swap_eval(ckpt, dataset, intervention: str, keys, swap, threads: int,
                model_id: str, dataset_id: str) -> ExperimentReport:
     """One row per key: the records as ``swap(records, key)`` re-composites them, scored
     with the originals' masks."""
-    model = _model_of(ckpt)
+    model = detector.model_from_checkpoint(ckpt)
     records, class_names = load_records(dataset)
     levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records])
 
@@ -247,8 +241,7 @@ def _swap_eval(ckpt, dataset, intervention: str, keys, swap, threads: int,
     return report
 
 
-def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 0,
-                       feather_radius: int = 0, threads: int = 1,
+def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 0, threads: int = 1,
                        model_id: str = "model", dataset_id: str = "dataset") -> ExperimentReport:
     """Re-composite every record onto a random pool background, per repetition."""
     if repetitions < 1:
@@ -256,12 +249,11 @@ def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int =
     if not bg_pool:
         raise ConfigurationError("background pool is empty")
     return _swap_eval(ckpt, dataset, "random_bg", range(repetitions), lambda records, rep: [
-        scenegen.composite_random_bg(r, bg_pool, seed ^ rep, feather_radius) for r in records],
+        scenegen.composite_random_bg(r, bg_pool, seed ^ rep) for r in records],
         threads, model_id, dataset_id)
 
 
-def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 0,
-                      feather_radius: int = 0, threads: int = 1,
+def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 0, threads: int = 1,
                       model_id: str = "model", dataset_id: str = "dataset") -> ExperimentReport:
     """One shared background per repetition, sampled from the pool without replacement."""
     if not 1 <= repetitions <= len(bg_pool):
@@ -270,7 +262,7 @@ def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 11)))
     chosen = [int(i) for i in rng.choice(len(bg_pool), size=repetitions, replace=False)]
     return _swap_eval(ckpt, dataset, "fixed_bg", chosen, lambda records, i: scenegen.composite_fixed_bg(
-        records, bg_pool[i], feather_radius), threads, model_id, dataset_id)
+        records, bg_pool[i]), threads, model_id, dataset_id)
 
 
 def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads: int = 1,
@@ -278,7 +270,7 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
     """Feed the mask-pooling model morphologically perturbed masks (ground truth
     unchanged) and score per factor; mask-variant checkpoints only."""
     factors = [float(f) for f in check_numbers(factors, "factors")]
-    model = _model_of(ckpt)
+    model = detector.model_from_checkpoint(ckpt)
     if model.cfg.pooling_variant != "mask":
         raise ConfigurationError("boundary ablation applies to the mask pooling variant only")
     records, class_names = load_records(dataset)
@@ -379,9 +371,10 @@ def run_study(spec: StudySpec, out) -> tuple:
     score each in-domain, under random-BG swaps and the activation sweep, plus a
     boundary ablation of each mask model.  Writes the checkpoints, one JSON and
     CSV report per (intervention, variant, seed) and summary.json under ``out``.
-    Returns the summary and the wall seconds of every runner call, keyed like
-    the report files (``eval-max-seed0``, ``sweep-mask-seed1``, ...); the
-    seconds enter no file, so the files stay deterministic."""
+    The in-domain scores are the sweep's w = 1 row.  Returns the summary and the
+    wall seconds of every runner call, keyed like the report files
+    (``sweep-mask-seed1``, ...); the seconds enter no file, so the files stay
+    deterministic."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     bias = scenegen.BiasSpec.concentrated(3, 4, spec.bias)
@@ -392,7 +385,6 @@ def run_study(spec: StudySpec, out) -> tuple:
     val_records = scenegen.generate_dataset(spec.val_images, spec.image_size,
                                             bias=bias, seed=VAL_SEED)
     bg_pool = scenegen.generate_bg_pool(spec.bg_pool, spec.image_size, seed=BG_POOL_SEED)
-    names = list(scenegen.DEFAULT_CLASSES)
     seconds = {}
 
     def run(key, fn, *args, **kwargs):  # times fn under key; a report goes to key.json/.csv
@@ -418,11 +410,11 @@ def run_study(spec: StudySpec, out) -> tuple:
             log.info("trained %s in %.1f min", model_id, (time.perf_counter() - t) / 60)
             detector.save_checkpoint(ckpt, out / f"{model_id}.mplb")
             ids = {"model_id": model_id, "dataset_id": "val"}
-            base = run(f"eval-{model_id}", evaluate_records,
-                       detector.model_from_checkpoint(ckpt), val_records, names)
             rb = run(f"random_bg-{model_id}", run_random_bg_eval, ckpt, val_records, bg_pool,
                      repetitions=spec.repetitions, seed=seed, **ids).aggregates["map50"]
             sweep = run(f"sweep-{model_id}", run_bg_activation_sweep, ckpt, val_records, **ids)
+            # w = 1 scales nothing: the in-domain evaluation, bit for bit
+            base = next(r for r in sweep.rows if r.repetition == 1.0)
             row[variant] = {"in_domain": base.map50, "random_bg_mean": rb["mean"],
                             "random_bg_std": rb["std"], "drop": base.map50 - rb["mean"],
                             "sweep_diff": sweep.aggregates["map50"]["diff"],

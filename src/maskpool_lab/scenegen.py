@@ -184,31 +184,19 @@ def write_ppm(path, image: np.ndarray) -> None:
 def read_mask_pgm(path) -> np.ndarray:
     """Read a P5 mask; 0 -> background, 255 -> foreground; anything else is invalid."""
     raw = _read_pnm(path, b"P5", 1)[..., 0]
-    if not np.isin(raw, (0, 255)).all():
-        bad = int(raw[~np.isin(raw, (0, 255))][0])
-        raise ConfigurationError(f"{path}: non-binary mask (value {bad})")
-    return (raw == 255).astype(np.uint8)
+    fg = raw == 255
+    ok = fg | (raw == 0)
+    if not ok.all():
+        raise ConfigurationError(f"{path}: non-binary mask (value {int(raw[~ok][0])})")
+    return fg.astype(np.uint8)
 
 
 def write_mask_pgm(path, mask: np.ndarray) -> None:
     mask = np.asarray(mask)
-    if not np.isin(mask, (0, 1)).all():
+    if not ((mask == 0) | (mask == 1)).all():
         raise ConfigurationError("non-binary mask")
     h, w = mask.shape
     Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + (mask.astype(np.uint8) * 255).tobytes())
-
-
-def read_image_any(path) -> np.ndarray:
-    """Read PPM natively; PNG/JPEG via Pillow when available."""
-    path = Path(path)
-    if path.suffix.lower() == ".ppm":
-        return read_ppm(path)
-    try:
-        from PIL import Image
-    except ImportError as e:
-        raise ConfigurationError(
-            f"{path}: only .ppm supported without Pillow (install the 'png' extra)") from e
-    return np.asarray(Image.open(path).convert("RGB"), dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +505,10 @@ def load_bg_pool(directory) -> list:
                    if p.suffix.lower() in (".ppm", ".png", ".jpg", ".jpeg") and p.is_file())
     if not paths:
         raise ConfigurationError(f"no background images found in {directory}")
-    return [read_image_any(p) for p in paths]
+    bad = next((p for p in paths if p.suffix.lower() != ".ppm"), None)
+    if bad:
+        raise ConfigurationError(f"{bad}: only .ppm backgrounds are read")
+    return [read_ppm(p) for p in paths]
 
 
 def _fit_bg(bg: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -536,33 +527,15 @@ def _fit_bg(bg: np.ndarray, h: int, w: int) -> np.ndarray:
     return scaled[y0:y0 + h, x0:x0 + w]
 
 
-def _box_blur_2d(a: np.ndarray, radius: int) -> np.ndarray:
-    """Separable mean filter with truncated (renormalized) edge windows."""
-    def blur_axis(v, axis):
-        n = v.shape[axis]
-        c = np.cumsum(v, axis=axis, dtype=np.float64)
-        c = np.concatenate([np.zeros_like(np.take(c, [0], axis=axis)), c], axis=axis)
-        idx_hi = np.minimum(np.arange(n) + radius + 1, n)
-        idx_lo = np.maximum(np.arange(n) - radius, 0)
-        sums = np.take(c, idx_hi, axis=axis) - np.take(c, idx_lo, axis=axis)
-        return sums / (idx_hi - idx_lo).reshape([-1 if d == axis else 1 for d in range(v.ndim)])
-    return blur_axis(blur_axis(a.astype(np.float64), 0), 1)
-
-
-def composite_with_bg(record: ImageRecord, bg_image: np.ndarray,
-                      feather_radius: int = 0, id_suffix: str = "") -> ImageRecord:
-    """Paste record's FG onto bg_image.  Pixels only: instances and the binary
-    mask are copied verbatim; feathering blends pixel values near mask edges."""
+def composite_with_bg(record: ImageRecord, bg_image: np.ndarray, id_suffix: str = "") -> ImageRecord:
+    """Paste record's FG onto bg_image: every FG pixel, the binary mask and the
+    instances are copied verbatim."""
     h, w = record.fg_mask.shape
     bg = _fit_bg(np.asarray(bg_image, dtype=np.uint8), h, w)
-    if feather_radius > 0:
-        alpha = _box_blur_2d(record.fg_mask.astype(np.float64), feather_radius)[..., None]
-        out = np.clip(np.rint(alpha * record.image + (1 - alpha) * bg), 0, 255).astype(np.uint8)
-    else:
-        # np.where(mask == 1, image, bg) as a bit select: pick is 255 where the mask is 1,
-        # repeated over the channels because a broadcast last axis is several times slower
-        pick = np.repeat(-(record.fg_mask == 1).view(np.uint8)[..., None], 3, axis=2)
-        out = bg ^ ((record.image ^ bg) & pick)
+    # np.where(mask == 1, image, bg) as a bit select: pick is 255 where the mask is 1,
+    # repeated over the channels because a broadcast last axis is several times slower
+    pick = np.repeat(-(record.fg_mask == 1).view(np.uint8)[..., None], 3, axis=2)
+    out = bg ^ ((record.image ^ bg) & pick)
     return ImageRecord(record.image_id + id_suffix, out, record.fg_mask.copy(),
                        [Instance(i.class_id, tuple(i.box), i.texture_id) for i in record.instances])
 
@@ -572,16 +545,14 @@ def _bg_index(seed: int, image_id: str, pool_size: int) -> int:
     return int.from_bytes(digest, "little") % pool_size
 
 
-def composite_random_bg(record: ImageRecord, bg_pool, seed: int,
-                        feather_radius: int = 0) -> ImageRecord:
+def composite_random_bg(record: ImageRecord, bg_pool, seed: int) -> ImageRecord:
     """Swap the record's background for a pool image chosen purely by (seed, image_id)."""
     if not bg_pool:
         raise ConfigurationError("background pool is empty")
     bg = bg_pool[_bg_index(seed, record.image_id, len(bg_pool))]
-    return composite_with_bg(record, bg, feather_radius, id_suffix="+rbg")
+    return composite_with_bg(record, bg, id_suffix="+rbg")
 
 
-def composite_fixed_bg(records, bg_image, feather_radius: int = 0,
-                       id_suffix: str = "+1bg") -> list:
+def composite_fixed_bg(records, bg_image) -> list:
     """One shared background for every record."""
-    return [composite_with_bg(r, bg_image, feather_radius, id_suffix) for r in records]
+    return [composite_with_bg(r, bg_image, id_suffix="+1bg") for r in records]

@@ -56,6 +56,29 @@ class TestConfigHandling:
                            patch_margin=0.45)
         assert cli.main(["gen", "--config", cfg]) == 1
 
+    def test_feather_radius_rejected(self, tiny, tmp_path, capsys):
+        # compositing is a hard paste; feather_radius no longer means anything
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", dataset=str(tiny[0]), feather_radius=2, out=str(out))
+        assert cli.main(["swap-bg", "--config", cfg]) == 1
+        assert "unknown config keys for swap-bg: ['feather_radius']" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "swap-bg"])
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_negative_seed_exit_1(self, tiny, tmp_path, capsys, command, via):
+        base = {"gen": {"n_images": 2, "image_size": 64},
+                "train": {"dataset": str(tiny[0]), "iterations": 1,
+                          "model": {"image_size": 64, "channels": [8, 16, 24, 24]}},
+                "swap-bg": {"dataset": str(tiny[0])}}[command]
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.json", **base, out=str(out),
+                            **({"seed": -1} if via == "config" else {}))
+        flags = ["--seed", "-1"] if via == "flag" else []
+        assert cli.main([command, "--config", path, *flags]) == 1
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["gen", "--config", str(tmp_path / "absent.json")]) == 1
 
@@ -188,10 +211,15 @@ class TestConfigHandling:
         ("train", {"optimizer": {"learning_rate": "x"}}, "optimizer.learning_rate"),
         ("gen", {"n_images": "x"}, "n_images"),
         ("gen", {"bias": {"concentration": "x"}}, "bias.concentration"),
-        ("swap-bg", {"feather_radius": "x"}, "feather_radius"),
+        ("swap-bg", {"bg": {"generate": 5}}, "bg.generate"),
         ("swap-bg", {"bg": {"generate": {"n": "x"}}}, "bg.generate.n"),
         ("eval", {"seed": "x"}, "seed"),
         ("report", {"reports": "abc"}, "reports"),
+        ("swap-bg", {"bg": {"generate": "ab"}}, "bg.generate"),
+        ("swap-bg", {"bg": {"generate": {"size": 0}}}, "bg.generate.size"),
+        ("swap-bg", {"bg": {"generate": {"size": -3}}}, "bg.generate.size"),
+        ("swap-bg", {"bg": {"generate": {"seed": -1}}}, "bg.generate.seed"),
+        ("swap-bg", {"bg": {"generate": {"n": 0}}}, "bg.generate.n"),
     ])
     def test_mistyped_config_value_exit_1(self, tiny, tmp_path, capsys, command, cfg, key):
         data, ckpt = (str(p) for p in tiny)
@@ -403,11 +431,6 @@ class TestPipeline:
         assert not (out / "run.json").exists()
 
     def test_swap_bg_png_without_pillow_exit_1(self, pipeline, tmp_path, capsys):
-        try:
-            import PIL  # noqa: F401
-            pytest.skip("Pillow is installed")
-        except ImportError:
-            pass
         root, data, _ = pipeline
         bg_dir = tmp_path / "bgs"
         bg_dir.mkdir()
@@ -416,7 +439,7 @@ class TestPipeline:
         cfg = write_config(tmp_path / "s.json", dataset=str(data), bg={"dir": str(bg_dir)},
                            out=str(out))
         assert cli.main(["swap-bg", "--config", cfg]) == 1
-        assert "bg.png: only .ppm supported without Pillow" in capsys.readouterr().err
+        assert "bg.png: only .ppm backgrounds are read" in capsys.readouterr().err
         assert not (out / "run.json").exists()
 
     def test_perturb_replayable_bitwise(self, pipeline, tmp_path):

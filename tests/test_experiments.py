@@ -324,12 +324,31 @@ class TestStudy:
                                      "out": str(tmp_path / "study")}
         reports = {"random_bg-max-seed0", "sweep-max-seed0", "random_bg-mask-seed0",
                    "sweep-mask-seed0", "ablation-mask-seed0"}
-        assert set(seconds) == reports | {"eval-max-seed0", "eval-mask-seed0"}
+        assert set(seconds) == reports
         assert all(t >= 0 for t in seconds.values())
         written = {p.name for p in (tmp_path / "study").iterdir()}
         assert written == ({f"{r}.{ext}" for r in reports for ext in ("json", "csv")}
                            | {"max-seed0.mplb", "mask-seed0.mplb", "summary.json"})
         assert list(summary["seeds"]["0"]["ablation"]) == ["baseline", "0.8", "0.9", "1.1", "1.2"]
+
+    def test_sweep_holds_the_in_domain_weight(self):
+        assert 1.0 in experiments.DEFAULT_SWEEP_WEIGHTS
+
+    def test_in_domain_is_a_direct_evaluation(self, tmp_path):
+        # run_study reads in-domain scores off the sweep's w = 1 row
+        spec = experiments.StudySpec(seeds=(0,), train_images=16, val_images=8, image_size=64,
+                                     iterations=100, bg_pool=2, repetitions=1)
+        summary, _ = experiments.run_study(spec, tmp_path)
+        val = scenegen.generate_dataset(8, 64, bias=scenegen.BiasSpec.concentrated(3, 4, spec.bias),
+                                        seed=experiments.VAL_SEED)
+        for variant in ("max", "mask"):
+            ckpt = detector.load_checkpoint(tmp_path / f"{variant}-seed0.mplb")
+            r = experiments.evaluate_records(detector.model_from_checkpoint(ckpt), val,
+                                             list(scenegen.DEFAULT_CLASSES))
+            assert sum(map(len, r.dets_by_image.values())) > 0
+            row = summary["seeds"]["0"][variant]
+            assert row["in_domain"] == r.map50
+            assert row["per_class_hf"] == {k: list(v) for k, v in r.per_class_hf.items()}
 
     @pytest.mark.parametrize("key,value", [
         ("seeds", ()), ("seeds", (0, -1)), ("train_images", 0), ("val_images", 0), ("image_size", 40),

@@ -125,8 +125,16 @@ class TestManifestIO:
         data = bytearray(mask_path.read_bytes())
         data[-1] = 7
         mask_path.write_bytes(bytes(data))
-        with pytest.raises(ConfigurationError, match="non-binary mask"):
+        with pytest.raises(ConfigurationError, match=r"non-binary mask \(value 7\)"):
             scenegen.load_dataset(tmp_path).load_record(0)
+
+    @pytest.mark.parametrize("value", [2, -1, 255, 0.5])
+    def test_write_non_binary_mask_rejected(self, tmp_path, value):
+        mask = np.zeros((4, 4))
+        mask[1, 2] = value
+        with pytest.raises(ConfigurationError, match="non-binary mask"):
+            scenegen.write_mask_pgm(tmp_path / "m.pgm", mask)
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_bad_magic_is_parse_error(self, tmp_path):
         p = tmp_path / "bad.ppm"
@@ -235,18 +243,11 @@ class TestCompositing:
     def test_ground_truth_untouched(self, rng):
         rec = record_fixture()
         bg = rng.integers(0, 255, (100, 30, 3)).astype(np.uint8)
-        out = scenegen.composite_with_bg(rec, bg, feather_radius=2, id_suffix="+x")
+        out = scenegen.composite_with_bg(rec, bg, id_suffix="+x")
         assert out.image_id == rec.image_id + "+x"
         assert np.array_equal(out.fg_mask, rec.fg_mask)
         assert [(i.class_id, i.box) for i in out.instances] == \
                [(i.class_id, i.box) for i in rec.instances]
-
-    def test_feather_blends_but_mask_binary(self, rng):
-        rec = record_fixture()
-        bg = rng.integers(0, 255, (64, 64, 3)).astype(np.uint8)
-        out = scenegen.composite_with_bg(rec, bg, feather_radius=2)
-        assert set(np.unique(out.fg_mask)) <= {0, 1}
-        assert not np.array_equal(out.image, scenegen.composite_with_bg(rec, bg).image)
 
     def test_random_bg_pure_function_of_seed_and_id(self, rng):
         rec = record_fixture()

@@ -21,6 +21,7 @@ import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -418,9 +419,12 @@ def _candidates(head: DetHeadOutput, cfg: ModelConfig):
     return bounds, cls[keep], score[keep], (row * g + col)[keep], box[keep]
 
 
-def _detections(cls, score, cell, box) -> list:
-    return [Detection(c, s, tuple(bx), k)
-            for c, s, bx, k in zip(cls.tolist(), score.tolist(), box.tolist(), cell.tolist())]
+def to_detections(counts, cls, score, cell, box) -> list:
+    """Rows as one Detection list per image, ``counts[i]`` rows for image i, with plain
+    Python int/float fields."""
+    dets = (Detection(c, s, tuple(bx), k)
+            for c, s, bx, k in zip(cls.tolist(), score.tolist(), box.tolist(), cell.tolist()))
+    return [list(islice(dets, n)) for n in counts.tolist()]
 
 
 def decode(head: DetHeadOutput, cfg: ModelConfig):
@@ -430,8 +434,7 @@ def decode(head: DetHeadOutput, cfg: ModelConfig):
     Detections come per image in (class, row, col) order, with plain Python
     int/float fields; a box with a NaN edge is not degenerate and is kept."""
     bounds, *candidates = _candidates(head, cfg)
-    dets = _detections(*candidates)
-    return [dets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return to_detections(np.diff(bounds), *candidates)
 
 
 def _nms_kept(cls, score, cell, box, iou_thresh: float) -> np.ndarray:
@@ -478,15 +481,20 @@ def nms(dets, iou_thresh: float):
     return [dets[k] for k in kept.tolist()]
 
 
+def kept_rows(head: DetHeadOutput, cfg: ModelConfig):
+    """``detect``'s output as arrays: the number of detections each image keeps,
+    then their class, score, cell and box, image after image."""
+    bounds, cls, score, cell, box = _candidates(head, cfg)
+    kept = [lo + _nms_kept(cls[lo:hi], score[lo:hi], cell[lo:hi], box[lo:hi], cfg.nms_iou)
+            for lo, hi in zip(bounds, bounds[1:])]
+    k = np.concatenate([np.zeros(0, np.intp), *kept])
+    return np.array([len(i) for i in kept], dtype=int), cls[k], score[k], cell[k], box[k]
+
+
 def detect(head: DetHeadOutput, cfg: ModelConfig):
     """``[nms(d, cfg.nms_iou) for d in decode(head, cfg)]``, building Detections
     only for the candidates NMS keeps."""
-    bounds, cls, score, cell, box = _candidates(head, cfg)
-    out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        k = lo + _nms_kept(cls[lo:hi], score[lo:hi], cell[lo:hi], box[lo:hi], cfg.nms_iou)
-        out.append(_detections(cls[k], score[k], cell[k], box[k]))
-    return out
+    return to_detections(*kept_rows(head, cfg))
 
 
 # ---------------------------------------------------------------------------

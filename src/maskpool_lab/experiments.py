@@ -17,6 +17,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -136,12 +137,22 @@ def load_records(dataset):
     return list(dataset), list(scenegen.DEFAULT_CLASSES)
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalResult:
     map50: float
     per_class_ap: dict
     per_class_hf: dict
-    dets_by_image: dict
+    kept: tuple = field(repr=False)  # image ids, then ``detector.kept_rows`` of all images
+
+    @cached_property
+    def dets_by_image(self) -> dict:
+        """{image id: ``detector.detect``'s Detections}, built on first read."""
+        ids, *rows = self.kept
+        return dict(zip(ids, detector.to_detections(*rows)))
+
+    def __eq__(self, other):  # the detections compare as Detection lists
+        fields = ("map50", "per_class_ap", "per_class_hf", "dets_by_image")
+        return isinstance(other, EvalResult) and all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
 def evaluate_records(model, records, class_names, levels=None,
@@ -155,7 +166,8 @@ def evaluate_records(model, records, class_names, levels=None,
 
     Every setting's op list starts with the same Conv/Relu ops before its first mask
     reader, so a batch runs them once and ``threads`` settings at a time go on from there:
-    bit for bit a walk per setting only because no op writes to its input."""
+    bit for bit a walk per setting only because no op writes to its input.  The rows NMS
+    keeps are scored as arrays (``metrics.score``)."""
     one = settings is None
     if one:
         if levels is None:
@@ -166,7 +178,8 @@ def evaluate_records(model, records, class_names, levels=None,
     op_lists = [detector.build_ops(cfg, detector.bg_mode(w, every)) for _, w, every in settings]
     split = min(next((i for i, op in enumerate(ops) if op.mask_stride is not None), len(ops))
                 for ops in op_lists)
-    dets = [{} for _ in settings]
+    no_rows = (np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros((0, 4)))
+    batches = [[no_rows] for _ in settings]  # per setting: ``detector.kept_rows`` of each batch
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         x = detector.images_to_tensor(np.stack([r.image for r in chunk]))
@@ -176,19 +189,28 @@ def evaluate_records(model, records, class_names, levels=None,
             lv, w, _ = settings[k]
             rows = lv and {s: m[start:start + batch_size] for s, m in lv.items()}
             raw = detector.Pass(op_lists[k][split:], model, rows, w).forward(x)
-            head = detector.DetHeadOutput.from_raw(raw, cfg.num_classes)
-            dets[k].update(zip([r.image_id for r in chunk], detector.detect(head, cfg)))
+            batches[k].append(detector.kept_rows(detector.DetHeadOutput.from_raw(raw, cfg.num_classes), cfg))
 
         _map_ordered(finish, range(len(settings)), threads)
-    gts_by_image = {r.image_id: r.instances for r in records}
+    ids = [r.image_id for r in records]
+    last = {img: i for i, img in enumerate(ids)}  # a repeated id scores its last record, as a dict would
+    live = np.isin(np.arange(len(records)), list(last.values()))
+    truth = [(i, int(g.class_id), *g.box) for i in last.values() for g in records[i].instances]
+    truth = np.array(truth, dtype=np.float64).reshape(len(truth), 6)
+    gts = (truth[:, 0].astype(int), truth[:, 1].astype(int), truth[:, 2:])
     hierarchy = metrics.hierarchy_for(class_names)
 
-    def score(dets_by_image):
-        m, per_class = metrics.map50(dets_by_image, gts_by_image, len(class_names))
-        hf = metrics.hierarchical_f1(dets_by_image, gts_by_image, hierarchy, class_names=class_names)
-        return EvalResult(m, {class_names[c]: v for c, v in per_class.items()}, hf, dets_by_image)
+    def score(kept):
+        counts, cls, scores, cell, box = (np.concatenate(c) for c in zip(*kept))
+        img = np.repeat(np.arange(len(records)), counts)
+        on = live[img]
+        s = metrics.score((img[on], cls[on], scores[on], box[on]), gts, num_classes=len(class_names),
+                          class_names=class_names, hierarchy=hierarchy)
+        m, per_class = s.map50
+        return EvalResult(m, {class_names[c]: v for c, v in per_class.items()}, s.hf,
+                          (ids, counts, cls, scores, cell, box))
 
-    results = _map_ordered(score, dets, threads)
+    results = _map_ordered(score, batches, threads)
     return results[0] if one else results
 
 

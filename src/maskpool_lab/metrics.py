@@ -4,20 +4,19 @@ Boxes are (x_min, y_min, x_max, y_max) in pixels, half-open.  Detections and
 ground truths may be dataclass-like objects or dicts following the detections
 file schema ({"image_id", "class_id", "score", "bbox"}).
 
-``iou_matrix`` is the one IoU (``detector.nms`` imports it) and
-``match_detections`` the one greedy matcher.  AP and mAP50 take their true
-positives from it (class-aware), hierarchical F1 its pairs (class-agnostic);
-they match all images of a call at once, with one IoU computation.
-``average_precision`` is the all-points interpolated AP; the tests check it
-against a brute-force oracle (``tests/ap_oracle.py``).
+``iou_matrix`` is the one IoU (``detector.nms`` imports it) and ``score`` the one
+scorer: from a dataset's detections and ground truths as arrays (the rows NMS
+keeps, in ``experiments.evaluate_records``) and one IoU pass over the same-image
+pairs, it matches class-aware and class-agnostic, then gives the all-points AP per
+class and the hierarchical-F1 counts.  ``match_detections``, ``average_precision``,
+``map50`` and ``hierarchical_f1`` are adapters that read their entries once and
+call it.  The tests check AP against a brute-force oracle (``tests/ap_oracle.py``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -32,6 +31,23 @@ def _column(entries, name):
         return [e[name] if isinstance(e, dict) else getattr(e, name) for e in entries]
     return [e["bbox"] if isinstance(e, dict) else e.box if hasattr(e, "box") else e.bbox
             for e in entries]
+
+
+def _numbers(entries, name, kind):
+    return np.array([kind(v) for v in _column(entries, name)], dtype=kind)
+
+
+def _boxes(entries):
+    return np.array(_column(entries, "box"), dtype=np.float64).reshape(len(entries), 4)
+
+
+def _by_image(dets_by_image: dict, gts_by_image: dict):
+    """The detections and the ground truths, each flattened with its image's code."""
+    images, out = {}, []
+    for by_image in (dets_by_image, gts_by_image):
+        pairs = [(images.setdefault(img, len(images)), e) for img, es in by_image.items() for e in es]
+        out.append((np.array([i for i, _ in pairs], dtype=int), [e for _, e in pairs]))
+    return out
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -56,6 +72,98 @@ def iou_matrix(a, b) -> np.ndarray:
     return np.where((iw <= 0) | (ih <= 0) | (union <= 0), 0.0, iou)
 
 
+# ---------------------------------------------------------------------------
+# the scorer
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Scores:
+    aware: tuple     # class-aware matching: each detection's gt (-1: none) and IoU
+    agnostic: tuple  # the same, matching by IoU alone
+    ap: dict         # class -> AP in [0, 1], None for a class with neither gts nor dets
+    hf: dict         # label -> (hP, hR, hF)
+
+    @property
+    def map50(self):
+        """(mean of the defined per-class APs, per-class AP), in percent."""
+        per_class = {c: None if v is None else 100.0 * v for c, v in self.ap.items()}
+        return float(np.mean([v for v in per_class.values() if v is not None])), per_class
+
+
+def score(dets, gts, iou_thresh: float = 0.5, num_classes: int = 0, class_names=None,
+          hierarchy=None) -> Scores:
+    """Greedy matching, AP per class and hierarchical-F1 counts of a dataset: ``dets``
+    are (image, class, score, box) arrays and ``gts`` (image, class, box), with integer
+    image codes and (n, 4) boxes.  Each detection, by descending score (ties in input
+    order), takes the highest-IoU still-unmatched gt of its image (and class, when
+    class-aware) with IoU >= threshold and > 0; IoU ties go to the lower gt index.
+    AP covers ``range(num_classes)``, where some class must have a gt.  Given a
+    ``hierarchy``, hierarchical F1 reads class ids through ``class_names``."""
+    img, cls, scores, box = dets
+    gt_img, gt_cls, gt_box = gts
+    # every same-image (det, gt) pair, each detection's gts in input order
+    by_image = np.argsort(gt_img, kind="stable")
+    lo = np.searchsorted(gt_img[by_image], img, "left")
+    n = np.searchsorted(gt_img[by_image], img, "right") - lo
+    pair_det = np.repeat(np.arange(img.size), n)
+    pair_gt = by_image[np.arange(pair_det.size) - np.repeat(np.cumsum(n) - n - lo, n)]
+    iou = iou_matrix(box[pair_det, None], gt_box[pair_gt, None])[:, 0, 0]
+    hit = (iou >= iou_thresh) & (iou > 0)  # NaN never qualifies
+    pair_det, pair_gt, iou = pair_det[hit], pair_gt[hit], iou[hit]
+    rank = np.argsort(np.argsort(-scores, kind="stable"))  # by descending score, ties in input order
+    same = cls[pair_det] == gt_cls[pair_gt]
+    aware = _greedy(rank, pair_det[same], pair_gt[same], iou[same], gt_img.size)
+    agnostic = _greedy(rank, pair_det, pair_gt, iou, gt_img.size)
+    n_gt = np.bincount(gt_cls[(gt_cls >= 0) & (gt_cls < num_classes)], minlength=num_classes)
+    if num_classes and not n_gt.any():
+        raise ConfigurationError("mAP50 undefined: no class has any ground truth")
+    order = np.lexsort((-scores, cls))  # by class, then by descending score
+    tp = aware[0][order] >= 0
+    bounds = np.searchsorted(cls[order], np.arange(num_classes + 1)).tolist()
+    ap = {c: _average_precision(scores[order[bounds[c]:bounds[c + 1]]], tp[bounds[c]:bounds[c + 1]],
+                                int(n_gt[c])) for c in range(num_classes)}
+    hf = {} if hierarchy is None else _hierarchical(agnostic[0], cls, gt_cls, class_names, hierarchy)
+    return Scores(aware, agnostic, ap, hf)
+
+
+def _greedy(rank, pair_det, pair_gt, iou, n_gt):
+    """Each detection's gt (-1: none) and IoU: detections in ``rank`` order, each
+    taking the first of its best (det, gt, iou) hit pairs whose gt is still free."""
+    gt, best_iou = np.full(rank.size, -1), np.zeros(rank.size)
+    taken = [False] * n_gt
+    order = np.lexsort((pair_gt, rank[pair_det]))
+    pairs = zip(pair_det[order].tolist(), pair_gt[order].tolist(), iou[order].tolist())
+    for d, candidates in groupby(pairs, key=itemgetter(0)):
+        best, best_g = 0.0, -1
+        for _, g, v in candidates:  # strict >: the first maximum
+            if v > best and not taken[g]:
+                best, best_g = v, g
+        if best_g >= 0:
+            taken[best_g] = True
+            gt[d], best_iou[d] = best_g, best
+    return gt, best_iou
+
+
+def _average_precision(scores, tp, n_gt):
+    """AP of one class from its detections' scores, in descending order, and
+    true-positive flags: a score-tie group adds one precision/recall point, so the
+    order inside a group does not matter.  The area under the precision envelope
+    sums its terms one after another, from 0.0."""
+    if not (n_gt and tp.size):
+        return 0.0 if n_gt or tp.size else None
+    last = np.append(scores[1:] != scores[:-1], True)  # the last detection of each tie group
+    hits = np.cumsum(tp)[last]
+    recall, precision = hits / n_gt, hits / (np.flatnonzero(last) + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]  # max precision at recall >= r
+    step = np.diff(recall, prepend=0.0)
+    up = step > 0
+    return float(np.cumsum(step[up] * envelope[up])[-1]) if up.any() else 0.0
+
+
+# ---------------------------------------------------------------------------
+# adapters: entries in, arrays to ``score``
+# ---------------------------------------------------------------------------
+
 @dataclass
 class MatchResult:
     pairs: list = field(default_factory=list)        # (det_index, gt_index, iou)
@@ -64,111 +172,18 @@ class MatchResult:
 
 
 def match_detections(dets, gts, iou_thresh: float = 0.5, class_agnostic: bool = False) -> MatchResult:
-    """Greedy matching by descending score.
-
-    Each detection takes the highest-IoU still-unmatched ground truth (of its
-    own class unless ``class_agnostic``) with IoU >= threshold and > 0; IoU
-    ties go to the lower gt index.  Score ties keep input order.
-    """
-    return next(_match_images([(dets, gts)], iou_thresh, class_agnostic))
-
-
-def _match_images(images, iou_thresh, class_agnostic):
-    """``match_detections`` of each (dets, gts) image in turn, with one ``iou_matrix`` call
-    for the same-image pairs of all of them: each numpy call has a fixed cost of
-    microseconds, which one call per image would pay for a few dozen pairs."""
-    images = [(list(dets), list(gts)) for dets, gts in images]
-    blocks = [(dets, gts) for dets, gts in images if dets and gts]
-    candidates = {}  # detection (numbered across blocks) -> [(gt in its image, IoU)], by gt
-    if blocks:  # pair p: detection pair_det[p] against gt pair_gt[p] of the same image
-        n_det = np.array([len(dets) for dets, _ in blocks])
-        n_gt = np.array([len(gts) for _, gts in blocks])
-        pairs_of_det = np.repeat(n_gt, n_det)
-        pair_det = np.repeat(np.arange(n_det.sum()), pairs_of_det)
-        # the gt's place in its image is the pair's place in its detection's run of pairs
-        pair_gt = np.arange(len(pair_det)) - np.repeat(np.cumsum(pairs_of_det) - pairs_of_det, pairs_of_det)
-        gt_row = np.repeat(np.cumsum(n_gt) - n_gt, n_det)[pair_det] + pair_gt  # in gt_boxes
-        det_boxes = np.asarray([b for dets, _ in blocks for b in _column(dets, "box")], dtype=np.float64)
-        gt_boxes = np.asarray([b for _, gts in blocks for b in _column(gts, "box")], dtype=np.float64)
-        iou = iou_matrix(det_boxes[pair_det, None], gt_boxes[gt_row, None]).ravel()
-        hit = iou >= iou_thresh  # NaN never qualifies; 0.0 does at thresholds <= 0, but never wins
-        if not class_agnostic:
-            det_cls = np.array([int(c) for dets, _ in blocks for c in _column(dets, "class_id")])
-            gt_cls = np.array([int(c) for _, gts in blocks for c in _column(gts, "class_id")])
-            hit &= det_cls[pair_det] == gt_cls[gt_row]
-        for d, g, v in zip(pair_det[hit].tolist(), pair_gt[hit].tolist(), iou[hit].tolist()):
-            candidates.setdefault(d, []).append((g, v))
-    first_det = 0  # the number in candidates of the image's first detection (images with gts)
-    for dets, gts in images:
-        neg_scores = [-float(v) for v in _column(dets, "score")]
-        order = sorted(range(len(dets)), key=neg_scores.__getitem__)  # stable: ties keep input order
-        taken = [False] * len(gts)
-        result = MatchResult()
-        for di in order:
-            best, best_gi = 0.0, -1
-            for gi, v in candidates.get(first_det + di, ()) if gts else ():  # strict >: first maximum
-                if v > best and not taken[gi]:
-                    best, best_gi = v, gi
-            if best_gi >= 0:
-                taken[best_gi] = True
-                result.pairs.append((di, best_gi, best))
-            else:
-                result.unmatched_dets.append(di)
-        result.unmatched_gts = [gi for gi, t in enumerate(taken) if not t]
-        yield result
-        if gts:
-            first_det += len(dets)
-
-
-def _scored_matches(images, iou_thresh, class_agnostic):
-    """(score, matched) of every detection of the (dets, gts) images, in input order."""
-    images = [(list(dets), gts) for dets, gts in images]
-    out = []
-    for (dets, _gts), m in zip(images, _match_images(images, iou_thresh, class_agnostic)):
-        matched = {di for di, _gi, _v in m.pairs}
-        out += ((float(s), di in matched) for di, s in enumerate(_column(dets, "score")))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# average precision (single class, whole dataset)
-# ---------------------------------------------------------------------------
-
-def _area_under_envelope(points):
-    """Area under the precision envelope of (recall, precision) operating points.
-
-    Points must be ordered by non-decreasing recall (threshold order).  The
-    envelope at recall r is the max precision among points with recall >= r.
-    """
-    if not points:
-        return 0.0
-    env = list(accumulate((p for _r, p in reversed(points)), max, initial=0.0))[:0:-1]
-    ap = 0.0
-    prev_r = 0.0
-    for (r, _p), e in zip(points, env):
-        if r > prev_r:
-            ap += (r - prev_r) * e
-            prev_r = r
-    return ap
-
-
-def _ap_from_matches(matches, n_gt):
-    """AP of one class from its detections' (score, matched) in any order: a
-    score-tie group adds one precision/recall point, whatever its order."""
-    if n_gt == 0:
-        return None if not matches else 0.0
-    if not matches:
-        return 0.0
-    matches = sorted(matches, key=itemgetter(0), reverse=True)  # stable
-    points = []
-    tp = fp = 0
-    for k, (s, is_tp) in enumerate(matches):
-        tp += is_tp
-        fp += not is_tp
-        last_of_group = k + 1 == len(matches) or matches[k + 1][0] != s
-        if last_of_group:
-            points.append((tp / n_gt, tp / (tp + fp)))
-    return _area_under_envelope(points)
+    """Greedy matching of one image's detections by descending score (see ``score``);
+    pairs and unmatched detections come in that order."""
+    dets, gts = list(dets), list(gts)
+    cls, gt_cls = (np.zeros(len(es), int) if class_agnostic else _numbers(es, "class_id", int)
+                   for es in (dets, gts))
+    scores = _numbers(dets, "score", float)
+    gt, iou = score((np.zeros_like(cls), cls, scores, _boxes(dets)),
+                    (np.zeros_like(gt_cls), gt_cls, _boxes(gts)), iou_thresh).aware
+    gt, iou = gt.tolist(), iou.tolist()
+    order = np.argsort(-scores, kind="stable").tolist()
+    return MatchResult([(d, gt[d], iou[d]) for d in order if gt[d] >= 0],
+                       [d for d in order if gt[d] < 0], sorted(set(range(len(gts))) - set(gt)))
 
 
 def average_precision(dets, gts, iou_thresh: float = 0.5):
@@ -179,12 +194,13 @@ def average_precision(dets, gts, iou_thresh: float = 0.5):
     Score-tied detections enter the precision/recall sweep as one group.
     """
     dets, gts = list(dets), list(gts)
-    by_image = {}
-    for d, img in zip(dets, _column(dets, "image_id")):
-        by_image.setdefault(img, ([], []))[0].append(d)
-    for g, img in zip(gts, _column(gts, "image_id")):
-        by_image.setdefault(img, ([], []))[1].append(g)
-    return _ap_from_matches(_scored_matches(by_image.values(), iou_thresh, True), len(gts))
+    if not gts:
+        return None if not dets else 0.0
+    images = {}
+    img, gt_img = (np.array([images.setdefault(i, len(images)) for i in _column(es, "image_id")], dtype=int)
+                   for es in (dets, gts))
+    return score((img, np.zeros_like(img), _numbers(dets, "score", float), _boxes(dets)),
+                 (gt_img, np.zeros_like(gt_img), _boxes(gts)), iou_thresh, 1).ap[0]
 
 
 def map50(dets_by_image: dict, gts_by_image: dict, num_classes: int,
@@ -196,20 +212,9 @@ def map50(dets_by_image: dict, gts_by_image: dict, num_classes: int,
     mean.  A dataset with no ground truth at all is an error.  Class ids
     outside ``range(num_classes)`` are ignored.
     """
-    images = [(list(dets), gts_by_image.get(img, ())) for img, dets in dets_by_image.items()]
-    classes = [c for dets, _gts in images for c in _column(dets, "class_id")]
-    matches = {c: [] for c in range(num_classes)}
-    for c, m in zip(classes, _scored_matches(images, iou_thresh, False)):
-        matches.get(int(c), []).append(m)  # ids outside range(num_classes) are dropped
-    n_gt = Counter(int(c) for gs in gts_by_image.values() for c in _column(gs, "class_id"))
-    if not any(n_gt[c] for c in matches):
-        raise ConfigurationError("mAP50 undefined: no class has any ground truth")
-    per_class = {}
-    for c, class_matches in matches.items():
-        ap = _ap_from_matches(class_matches, n_gt[c])
-        per_class[c] = None if ap is None else 100.0 * ap
-    defined = [v for v in per_class.values() if v is not None]
-    return float(np.mean(defined)), per_class
+    (img, dets), (gt_img, gts) = _by_image(dets_by_image, gts_by_image)
+    return score((img, _numbers(dets, "class_id", int), _numbers(dets, "score", float), _boxes(dets)),
+                 (gt_img, _numbers(gts, "class_id", int), _boxes(gts)), iou_thresh, num_classes).map50
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +283,41 @@ def hierarchical_f1(dets_by_image: dict, gts_by_image: dict, hierarchy: ClassHie
     (det, gt) pair contributes its predicted and true label sets to the gt
     class's row.  Unmatched gts add |T| to that class's recall denominator;
     unmatched dets add |P| to the predicted class's precision denominator.
+    Class ids are read through ``class_names``, or are the labels themselves.
 
     Returns {class: (hP, hR, hF)} over the classes that were touched.
     """
-    def leaf(class_id):
-        return class_names[int(class_id)] if class_names is not None else class_id
+    (img, dets), (gt_img, gts) = _by_image(dets_by_image, gts_by_image)
+    labels = {}  # each distinct label -> its code, the class id ``score`` sees
+    d, g = (np.array([labels.setdefault(c if class_names is None else class_names[int(c)], len(labels))
+                      for c in _column(es, "class_id")], dtype=int) for es in (dets, gts))
+    return score((img, d, _numbers(dets, "score", float), _boxes(dets)), (gt_img, g, _boxes(gts)), iou_thresh,
+                 class_names=list(labels), hierarchy=hierarchy).hf
 
-    label_set = lru_cache(maxsize=None)(hierarchy.label_set)  # one tree walk per class
-    inter, pred_den, true_den = Counter(), Counter(), Counter()
-    images = [(list(dets_by_image.get(img, ())), list(gts_by_image.get(img, ())))
-              for img in sorted(set(dets_by_image) | set(gts_by_image))]
-    for (dets, gts), m in zip(images, _match_images(images, iou_thresh, class_agnostic=True)):
-        pred = [leaf(c) for c in _column(dets, "class_id")]
-        true = [leaf(c) for c in _column(gts, "class_id")]
-        for di, gi, _v in m.pairs:
-            p_set, t_set = label_set(pred[di]), label_set(true[gi])
-            inter[true[gi]] += len(p_set & t_set)
-            pred_den[true[gi]] += len(p_set)
-            true_den[true[gi]] += len(t_set)
-        for gi in m.unmatched_gts:
-            true_den[true[gi]] += len(label_set(true[gi]))
-            inter[true[gi]] += 0  # the row exists, with nothing in common
-        for di in m.unmatched_dets:
-            pred_den[pred[di]] += len(label_set(pred[di]))
-            inter[pred[di]] += 0
 
-    out = {}
-    for row in sorted(inter, key=str):
-        hp = inter[row] / pred_den[row] if pred_den[row] else 0.0
-        hr = inter[row] / true_den[row] if true_den[row] else 0.0
+def _hierarchical(gt_of_det, cls, gt_cls, class_names, hierarchy):
+    """``hierarchical_f1``'s rows from the class-agnostic matching ``gt_of_det``.  A row
+    exists for the label of every gt and of every unmatched detection."""
+    labels = {}  # class names that are equal share a row
+    code = np.array([labels.setdefault(x, len(labels)) for x in class_names], dtype=int)
+    det_label, gt_label = code[cls], code[gt_cls]
+    sets = [hierarchy.label_set(x) for x in labels]
+    k = len(sets)
+    size = np.array([len(s) for s in sets], dtype=int)
+    common = np.array([[len(p & t) for t in sets] for p in sets], dtype=int).reshape(k, k)
+    matched = gt_of_det >= 0
+    row = det_label.copy()
+    row[matched] = gt_label[gt_of_det[matched]]  # a matched detection counts in its gt's row
+    # integer sums, exact in the float64 that bincount's weights give
+    inter = np.bincount(row[matched], common[det_label, row][matched], k).tolist()
+    pred_den = np.bincount(row, size[det_label], k).tolist()
+    true_den = np.bincount(gt_label, size[gt_label], k).tolist()
+    names, out = list(labels), {}
+    for r in sorted(set(gt_label.tolist()) | set(det_label[~matched].tolist()), key=lambda r: str(names[r])):
+        hp = inter[r] / pred_den[r] if pred_den[r] else 0.0
+        hr = inter[r] / true_den[r] if true_den[r] else 0.0
         hf = 2 * hp * hr / (hp + hr) if hp + hr > 0 else 0.0
-        out[row] = (hp, hr, hf)
+        out[names[r]] = (hp, hr, hf)
     return out
 
 

@@ -190,6 +190,17 @@ def test_exact_key_ties_keep_input_order():
     assert kept == dets[0::2] + dets[1::2]
 
 
+def reference_kept_rows(head, cfg):
+    """``detector.kept_rows`` from the reference ``decode`` and ``nms``."""
+    per_image = [ref.nms(d, cfg.nms_iou) for d in ref.decode(head, cfg)]
+    dets = [d for kept in per_image for d in kept]
+    counts = [len(kept) for kept in per_image]
+    return (np.array(counts, dtype=np.int64), np.array([d.class_id for d in dets], dtype=np.int64),
+            np.array([d.score for d in dets], dtype=np.float64),
+            np.array([d.cell for d in dets], dtype=np.int64),
+            np.array([d.box for d in dets], dtype=np.float64).reshape(len(dets), 4))
+
+
 def test_random_bg_report_bytes_match_reference(tmp_path, monkeypatch):
     records = scenegen.generate_dataset(6, 64, seed=21, size_range=(12, 28),
                                         bias=scenegen.BiasSpec.concentrated(3, 4, 0.85))
@@ -197,22 +208,24 @@ def test_random_bg_report_bytes_match_reference(tmp_path, monkeypatch):
     ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=30, seed=2)
     ckpt.tensors["head.bias"][0] += 3.0  # raise objectness so that cells emit boxes
     pool = scenegen.generate_bg_pool(4, 64, seed=1)
-    detect, kept = detector.detect, []
+    kept = []
 
-    def counting_detect(head, model_cfg):  # a batch with any candidate keeps at least one
-        out = detect(head, model_cfg)
-        kept.append(sum(len(d) for d in out))
-        return out
+    def counting(kept_rows):  # a batch with any candidate keeps at least one
+        def counting_kept_rows(head, model_cfg):
+            out = kept_rows(head, model_cfg)
+            kept.append(int(out[0].sum()))
+            return out
+        return counting_kept_rows
 
     def report_bytes(name):
         rep = experiments.run_random_bg_eval(ckpt, records, pool, repetitions=2, seed=5)
         rep.write_json(tmp_path / name)
         return (tmp_path / name).read_bytes()
 
-    monkeypatch.setattr(detector, "detect", counting_detect)
+    monkeypatch.setattr(detector, "kept_rows", counting(detector.kept_rows))
     new = report_bytes("new.json")
     assert sum(kept) > 0
-    monkeypatch.setattr(detector, "detect",
-                        lambda head, model_cfg: [ref.nms(d, model_cfg.nms_iou)
-                                                 for d in ref.decode(head, model_cfg)])
+    kept.clear()
+    monkeypatch.setattr(detector, "kept_rows", counting(reference_kept_rows))
     assert report_bytes("ref.json") == new
+    assert sum(kept) > 0

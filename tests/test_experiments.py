@@ -1,6 +1,8 @@
 """Intervention harness tests: identity interventions are exact no-ops,
 report aggregates and schema round trips, ablation and diff tables."""
 
+import copy
+import dataclasses
 import importlib.util
 import json
 import os
@@ -10,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskpool_lab import detector, experiments, nn, scenegen
+from maskpool_lab import detector, experiments, metrics, nn, scenegen
 from maskpool_lab.errors import ConfigurationError
+from test_decode_bitwise import fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,71 @@ class TestSettingsInOnePass:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+class TestArrayScoring:
+    """``evaluate_records`` scores the rows NMS keeps as arrays; its results must read
+    as if the public metrics had scored its own detections, and those detections
+    must be ``detector.detect``'s."""
+
+    @staticmethod
+    def model(ckpt, records):
+        """The checkpoint's model, its score threshold at the median of the images' best
+        scores, so that some images keep detections and others none."""
+        model = detector.model_from_checkpoint(ckpt)
+        head = detector.forward(model, detector.images_to_tensor(np.stack([r.image for r in records])),
+                                detector.mask_levels(model.cfg, [r.fg_mask for r in records]))
+        best = [max(d.score for d in dets) for dets in
+                detector.decode(head, dataclasses.replace(model.cfg, score_threshold=0.0))]
+        model.cfg = dataclasses.replace(model.cfg, score_threshold=float(np.median(best)))
+        return model
+
+    @pytest.mark.parametrize("variant", ("max", "mask"))
+    @pytest.mark.parametrize("silent", (False, True))
+    def test_scores_are_the_metrics_of_its_own_detections(self, world, variant, silent):
+        records, names, ckpt_max, ckpt_mask = world
+        ckpt = ckpt_max if variant == "max" else ckpt_mask
+        if silent:  # an objectness bias at which no cell emits a candidate
+            ckpt = copy.deepcopy(ckpt)
+            ckpt.tensors["head.bias"][0] -= 50.0
+            model = detector.model_from_checkpoint(ckpt)
+        else:
+            model = self.model(ckpt, records)
+        masks = [r.fg_mask for r in records]
+        settings = [(detector.mask_levels(model.cfg, masks, w, every), w, every)
+                    for w, every in ((1.0, False), (0.5, False), (2.0, True))]
+        results = experiments.evaluate_records(model, records, names, batch_size=4, settings=settings,
+                                               threads=2)
+        kept = [len(dets) for dets in results[0].dets_by_image.values()]
+        assert max(kept) == 0 if silent else min(kept) == 0 < max(kept)
+        gts = {r.image_id: r.instances for r in records}
+        hierarchy = metrics.hierarchy_for(names)
+        for r in results:
+            m, per_class = metrics.map50(r.dets_by_image, gts, len(names))
+            hf = metrics.hierarchical_f1(r.dets_by_image, gts, hierarchy, class_names=names)
+            assert repr((r.map50, r.per_class_ap, r.per_class_hf)) == repr(
+                (m, {names[c]: v for c, v in per_class.items()}, hf))
+
+    @pytest.mark.parametrize("variant", ("max", "mask"))
+    def test_detections_are_detects(self, world, variant):
+        records, names, ckpt_max, ckpt_mask = world
+        model = self.model(ckpt_max if variant == "max" else ckpt_mask, records)
+        r = experiments.evaluate_records(model, records, names, batch_size=len(records))
+        head = detector.forward(model, detector.images_to_tensor(np.stack([r.image for r in records])),
+                                detector.mask_levels(model.cfg, [r.fg_mask for r in records]))
+        assert list(r.dets_by_image) == [rec.image_id for rec in records]
+        for rec, dets in zip(records, detector.detect(head, model.cfg)):
+            assert fingerprint(r.dets_by_image[rec.image_id]) == fingerprint(dets)
+
+    def test_a_repeated_image_id_scores_its_last_record(self, world):
+        # batch_size 1: each image's detections do not depend on the batch it runs in
+        records, names, ckpt_max, _ = world
+        model = detector.model_from_checkpoint(ckpt_max)  # every image keeps detections
+        repeated = [scenegen.ImageRecord(records[1].image_id, records[0].image, records[0].fg_mask,
+                                         records[0].instances), *records[1:]]
+        got = experiments.evaluate_records(model, repeated, names, batch_size=1)
+        assert got == experiments.evaluate_records(model, records[1:], names, batch_size=1)
+        assert got != experiments.evaluate_records(model, repeated[:1] + records[2:], names, batch_size=1)
 
 
 class TestSweep:

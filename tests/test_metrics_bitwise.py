@@ -12,6 +12,7 @@ place in a (-score, index) order, for the reference as for the library.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,8 +216,32 @@ def test_class_ids_outside_num_classes_are_ignored():
     same("map50", dets, {"a": [g("a", 5, (0, 0, 4, 4))]}, 2)  # no gt in range: an error
 
 
+def test_detection_matched_to_another_class_adds_no_row_of_its_own():
+    # the triangle detection takes the square gt in the class-agnostic matching: it
+    # counts in the square row, and with no triangle gt and no unmatched triangle
+    # detection there is no triangle row
+    dets = {"a": [d("a", 2, 0.9, (0, 0, 4, 4))]}
+    gts = {"a": [g("a", 1, (0, 0, 4, 4))]}
+    hf = same("hierarchical_f1", dets, gts, metrics.hierarchy_for(CLASS_NAMES), class_names=CLASS_NAMES)
+    assert hf == repr({"square": (0.5, 0.5, 0.5)})  # {triangle, angular} against {square, angular}
+    assert same("hierarchical_f1", dets, gts, metrics.hierarchy_for([0, 1, 2])) == repr({1: (0.0, 0.0, 0.0)})
+
+
 def test_no_ground_truth_anywhere_raises_the_same():
     assert same("map50", {"a": [d("a", 0, 0.9, (0, 0, 4, 4))]}, {}, 3) == "raised ConfigurationError"
+
+
+def reference_score(dets, gts, iou_thresh=0.5, num_classes=0, class_names=None, hierarchy=None):
+    """``metrics.score`` as evaluation calls it, computed by the reference ``map50`` and
+    ``hierarchical_f1`` on per-image dicts built from its arrays."""
+    dets_by_image, gts_by_image = {}, {}
+    for img, cls, s, box in zip(*(a.tolist() for a in dets)):
+        dets_by_image.setdefault(img, []).append({"class_id": cls, "score": s, "bbox": tuple(box)})
+    for img, cls, box in zip(*(a.tolist() for a in gts)):
+        gts_by_image.setdefault(img, []).append({"class_id": cls, "bbox": tuple(box)})
+    return SimpleNamespace(
+        map50=ref.map50(dets_by_image, gts_by_image, num_classes, iou_thresh),
+        hf=ref.hierarchical_f1(dets_by_image, gts_by_image, hierarchy, iou_thresh, class_names))
 
 
 def test_random_bg_report_bytes_match_reference(tmp_path, monkeypatch):
@@ -226,21 +251,25 @@ def test_random_bg_report_bytes_match_reference(tmp_path, monkeypatch):
     ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=30, seed=2)
     ckpt.tensors["head.bias"][0] += 3.0  # raise objectness so that cells emit boxes
     pool = scenegen.generate_bg_pool(4, 64, seed=1)
-    detect, kept = detector.detect, []
+    kept_rows, kept, scored = detector.kept_rows, [], []
 
-    def counting_detect(head, model_cfg):  # a batch with any candidate keeps at least one
-        out = detect(head, model_cfg)
-        kept.append(sum(len(d) for d in out))
+    def counting_kept_rows(head, model_cfg):  # a batch with any candidate keeps at least one
+        out = kept_rows(head, model_cfg)
+        kept.append(int(out[0].sum()))
         return out
+
+    def counting_reference_score(*args, **kwargs):
+        scored.append(1)
+        return reference_score(*args, **kwargs)
 
     def report_bytes(name):
         rep = experiments.run_random_bg_eval(ckpt, records, pool, repetitions=2, seed=5)
         rep.write_json(tmp_path / name)
         return (tmp_path / name).read_bytes()
 
-    monkeypatch.setattr(detector, "detect", counting_detect)
+    monkeypatch.setattr(detector, "kept_rows", counting_kept_rows)
     new = report_bytes("new.json")
     assert sum(kept) > 0
-    monkeypatch.setattr(metrics, "map50", ref.map50)
-    monkeypatch.setattr(metrics, "hierarchical_f1", ref.hierarchical_f1)
+    monkeypatch.setattr(metrics, "score", counting_reference_score)
     assert report_bytes("ref.json") == new
+    assert len(scored) == 2  # one evaluation per repetition, scored by the reference

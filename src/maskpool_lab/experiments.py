@@ -167,7 +167,13 @@ def evaluate_records(model, records, class_names, levels=None,
     Every setting's op list starts with the same Conv/Relu ops before its first mask
     reader, so a batch runs them once and ``threads`` settings at a time go on from there:
     bit for bit a walk per setting only because no op writes to its input.  The rows NMS
-    keeps are scored as arrays (``metrics.score``)."""
+    keeps are scored as arrays (``metrics.score``).  A repeated image id raises
+    ConfigurationError before any record runs."""
+    ids = [r.image_id for r in records]
+    first = {}
+    for i, img in enumerate(ids):
+        if first.setdefault(img, i) != i:
+            raise ConfigurationError(f"duplicate image id {img}: records {first[img]} and {i}")
     one = settings is None
     if one:
         if levels is None:
@@ -192,10 +198,7 @@ def evaluate_records(model, records, class_names, levels=None,
             batches[k].append(detector.kept_rows(detector.DetHeadOutput.from_raw(raw, cfg.num_classes), cfg))
 
         _map_ordered(finish, range(len(settings)), threads)
-    ids = [r.image_id for r in records]
-    last = {img: i for i, img in enumerate(ids)}  # a repeated id scores its last record, as a dict would
-    live = np.isin(np.arange(len(records)), list(last.values()))
-    truth = [(i, int(g.class_id), *g.box) for i in last.values() for g in records[i].instances]
+    truth = [(i, int(g.class_id), *g.box) for i, r in enumerate(records) for g in r.instances]
     truth = np.array(truth, dtype=np.float64).reshape(len(truth), 6)
     gts = (truth[:, 0].astype(int), truth[:, 1].astype(int), truth[:, 2:])
     hierarchy = metrics.hierarchy_for(class_names)
@@ -203,8 +206,7 @@ def evaluate_records(model, records, class_names, levels=None,
     def score(kept):
         counts, cls, scores, cell, box = (np.concatenate(c) for c in zip(*kept))
         img = np.repeat(np.arange(len(records)), counts)
-        on = live[img]
-        s = metrics.score((img[on], cls[on], scores[on], box[on]), gts, num_classes=len(class_names),
+        s = metrics.score((img, cls, scores, box), gts, num_classes=len(class_names),
                           class_names=class_names, hierarchy=hierarchy)
         m, per_class = s.map50
         return EvalResult(m, {class_names[c]: v for c, v in per_class.items()}, s.hf,

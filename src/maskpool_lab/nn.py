@@ -19,6 +19,13 @@ add those runs into gradient planes.  Every sum runs in row-major window
 order from +0.0.  That order fixes every rounding, so it keeps checkpoints
 and reports byte-identical and must not change; the padded kernels in
 tests/pool_reference.py and tests/conv_reference.py pin it.
+
+A float32 conv weight gradient is the per-sample product cols @ g^T, the
+faster orientation, summed over the batch and transposed.  Its sum is kept
+only when finite: then both operands were finite, and OpenBLAS's sgemm gives
+bitwise the g @ cols^T product of the references.  A non-finite sum, where
+the NaN payload can depend on the orientation, and float64, where dgemm rounds
+the orientations differently at more than one BLAS thread, use g @ cols^T.
 """
 
 from __future__ import annotations
@@ -258,9 +265,16 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
     if cols is None:
         cols = _conv_cols(x, kh, stride, padding, oh, ow)
     g = grad_out.reshape(n, oc, oh * ow)
-    # per-sample matmul then ordered sum over the batch keeps reductions fixed
-    p.grad_weights += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape).astype(FLOAT)
-    del cols  # free before the input gradient allocates its own columns
+    # Per-sample products summed over the batch in sample order.  float32 keeps the
+    # faster (K, oc) cols @ g^T when its sum is finite: every entry of a sample's cols
+    # meets every entry of its g in some product, so a NaN or +-inf in either operand
+    # leaves a non-finite entry in the sum.  A non-finite sum and float64 take
+    # g @ cols^T, the references' product (module docstring).
+    gw = np.matmul(cols, g.transpose(0, 2, 1)).sum(axis=0).T if g.dtype == FLOAT else None
+    if gw is None or not np.isfinite(gw).all():
+        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+    p.grad_weights += gw.reshape(p.weights.shape).astype(FLOAT)
+    del cols, gw  # free before the input gradient allocates its own columns
     p.grad_bias += g.sum(axis=(0, 2)).astype(FLOAT)
     if not input_grad:
         return None

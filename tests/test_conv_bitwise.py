@@ -211,3 +211,28 @@ def test_detector_geometries(placement, dtype):
         osize = nn.out_size(size, k, stride, padding)
         g = rng.standard_normal((2, oc, osize, osize)).astype(dtype)
         check_case(x, g, params, stride, padding, input_grad=name != "stem")
+
+
+def test_weight_gradient_nan_payload_of_either_operand():
+    # A NaN in the columns (payload 1) meets a NaN in the gradient (payload 2) in one
+    # product; sgemm returns one payload in g @ cols^T and the other in cols @ g^T at
+    # this shape, so a non-finite weight gradient must come from the g @ cols^T product
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, 8, 12, 12)).astype(np.float32)
+    g = rng.standard_normal((4, 16, 10, 10)).astype(np.float32)
+    x[0, 0, 0, 0], g[0, 0, 0, 0] = np.array([0x7FC00001, 0x7FC00002], np.uint32).view(np.float32)
+    check_case(x, g, layers(rng, 16, 8, 3), 1, 0)
+
+
+def test_float64_weight_gradient_keeps_its_orientation():
+    # At two or more BLAS threads, dgemm rounds cols @ g^T differently from g @ cols^T
+    # at this 1x1 conv's (n, oc, K, P) = (4, 36, 55, 272).  Products of +-2**40 at the
+    # first and last pixel cancel, so the rounding of everything summed between them
+    # reaches the float32 weight gradient.  At one thread the orientations agree, and
+    # the case passes either way.
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((4, 55, 16, 17))
+    g = rng.standard_normal((4, 36, 16, 17))
+    x[..., 0, 0] = x[..., -1, -1] = 2.0**40
+    g[..., 0, 0], g[..., -1, -1] = 1.0, -1.0
+    check_case(x, g, layers(rng, 36, 55, 1), 1, 0)

@@ -1,7 +1,11 @@
 """Detector tests: construction, pooling-slot behavior, target assignment,
 decoding, training determinism and checkpoint round trips."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,29 @@ class TestTrain:
         b = detector.train(records, cfg, nn.OptimizerConfig(), iterations=20, seed=3)
         for name, tensor in a.tensors.items():
             assert np.array_equal(tensor, b.tensors[name])
+
+    def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path):
+        """Max and mask trainings at the default channels write the same checkpoint bytes in a
+        child process held to one OpenBLAS thread as here, at the default thread count."""
+        child = ("import sys\n"
+                 "from maskpool_lab import detector, nn, scenegen\n"
+                 "records = scenegen.generate_dataset(16, 64, seed=0)\n"
+                 "for variant in ('max', 'mask'):\n"
+                 "    cfg = detector.ModelConfig(pooling_variant=variant, image_size=64)\n"
+                 "    ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=20, seed=4)\n"
+                 "    detector.save_checkpoint(ckpt, f'{sys.argv[1]}/{variant}.mplb')\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env, timeout=300,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        records = scenegen.generate_dataset(16, 64, seed=0)
+        for variant in ("max", "mask"):
+            cfg = detector.ModelConfig(pooling_variant=variant, image_size=64)
+            ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=20, seed=4)
+            detector.save_checkpoint(ckpt, tmp_path / "here.mplb")
+            assert (tmp_path / "here.mplb").read_bytes() == (tmp_path / f"{variant}.mplb").read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):

@@ -17,9 +17,24 @@ from maskpool_lab.errors import ConfigurationError
 from test_decode_bitwise import fingerprint
 
 
+def best_scores(model, records):
+    """Each image's best decoded score, with no score threshold."""
+    head = detector.forward(model, detector.images_to_tensor(np.stack([r.image for r in records])),
+                            detector.mask_levels(model.cfg, [r.fg_mask for r in records]))
+    return [max(d.score for d in dets) for dets in
+            detector.decode(head, dataclasses.replace(model.cfg, score_threshold=0.0))]
+
+
+def kept(results):
+    """Detections kept over every image of every result."""
+    return sum(len(dets) for r in results for dets in r.dets_by_image.values())
+
+
 @pytest.fixture(scope="module")
 def world():
-    """A tiny dataset plus quickly trained max/mask checkpoints."""
+    """A tiny dataset plus quickly trained max/mask checkpoints.  The mask model's best
+    scores (0.0087-0.0089) lie below the default score threshold 0.01, so its
+    checkpoint's threshold is the lowest of them: every image keeps a detection."""
     records = scenegen.generate_dataset(10, 64, seed=21, size_range=(12, 28),
                                         bias=scenegen.BiasSpec.concentrated(3, 4, 0.85))
     cfg = dict(image_size=64, channels=(8, 16, 24, 24))
@@ -28,6 +43,8 @@ def world():
                               opt, iterations=60, seed=2)
     ckpt_mask = detector.train(records, detector.ModelConfig(pooling_variant="mask", **cfg),
                                opt, iterations=60, seed=2)
+    lowest = min(best_scores(detector.model_from_checkpoint(ckpt_mask), records))
+    ckpt_mask.config = dataclasses.replace(ckpt_mask.config, score_threshold=lowest)
     class_names = list(scenegen.DEFAULT_CLASSES)
     return records, class_names, ckpt_max, ckpt_mask
 
@@ -64,6 +81,7 @@ class TestSettingsInOnePass:
         for (levels, w, every), got in zip(settings, results):
             want = experiments.evaluate_records(model, records, names, None, w, every, batch_size=4)
             assert got == want
+            assert kept([got]) > 0
 
     def test_more_threads_than_cores_same_results(self, world):
         """Threads share each batch's activation and write their own setting's
@@ -81,6 +99,7 @@ class TestSettingsInOnePass:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+        assert all(kept([r]) > 0 for r in want)
 
 
 class TestArrayScoring:
@@ -93,11 +112,7 @@ class TestArrayScoring:
         """The checkpoint's model, its score threshold at the median of the images' best
         scores, so that some images keep detections and others none."""
         model = detector.model_from_checkpoint(ckpt)
-        head = detector.forward(model, detector.images_to_tensor(np.stack([r.image for r in records])),
-                                detector.mask_levels(model.cfg, [r.fg_mask for r in records]))
-        best = [max(d.score for d in dets) for dets in
-                detector.decode(head, dataclasses.replace(model.cfg, score_threshold=0.0))]
-        model.cfg = dataclasses.replace(model.cfg, score_threshold=float(np.median(best)))
+        model.cfg = dataclasses.replace(model.cfg, score_threshold=float(np.median(best_scores(model, records))))
         return model
 
     @pytest.mark.parametrize("variant", ("max", "mask"))
@@ -116,8 +131,8 @@ class TestArrayScoring:
                     for w, every in ((1.0, False), (0.5, False), (2.0, True))]
         results = experiments.evaluate_records(model, records, names, batch_size=4, settings=settings,
                                                threads=2)
-        kept = [len(dets) for dets in results[0].dets_by_image.values()]
-        assert max(kept) == 0 if silent else min(kept) == 0 < max(kept)
+        per_image = [len(dets) for dets in results[0].dets_by_image.values()]
+        assert max(per_image) == 0 if silent else min(per_image) == 0 < max(per_image)
         gts = {r.image_id: r.instances for r in records}
         hierarchy = metrics.hierarchy_for(names)
         for r in results:
@@ -137,15 +152,12 @@ class TestArrayScoring:
         for rec, dets in zip(records, detector.detect(head, model.cfg)):
             assert fingerprint(r.dets_by_image[rec.image_id]) == fingerprint(dets)
 
-    def test_a_repeated_image_id_scores_its_last_record(self, world):
-        # batch_size 1: each image's detections do not depend on the batch it runs in
+    def test_a_repeated_image_id_is_rejected(self, world):
         records, names, ckpt_max, _ = world
-        model = detector.model_from_checkpoint(ckpt_max)  # every image keeps detections
-        repeated = [scenegen.ImageRecord(records[1].image_id, records[0].image, records[0].fg_mask,
-                                         records[0].instances), *records[1:]]
-        got = experiments.evaluate_records(model, repeated, names, batch_size=1)
-        assert got == experiments.evaluate_records(model, records[1:], names, batch_size=1)
-        assert got != experiments.evaluate_records(model, repeated[:1] + records[2:], names, batch_size=1)
+        model = detector.model_from_checkpoint(ckpt_max)
+        repeated = [*records[:3], dataclasses.replace(records[1], image=records[0].image), *records[3:]]
+        with pytest.raises(ConfigurationError, match=f"duplicate image id {records[1].image_id}: records 1 and 3"):
+            experiments.evaluate_records(model, repeated, names)
 
 
 class TestSweep:
@@ -298,17 +310,20 @@ class TestAblation:
         records, _, _, ckpt_mask = world
         rep = experiments.run_boundary_ablation(ckpt_mask, records, factors=())
         assert len(rep.rows) == 1 and rep.rows[0].repetition == "baseline"
+        assert rep.rows[0].map50 > 0  # some detection kept and matched
 
     def test_factor_rows_emitted(self, world):
         records, _, _, ckpt_mask = world
         rep = experiments.run_boundary_ablation(ckpt_mask, records, factors=(0.9, 1.1))
         assert [r.repetition for r in rep.rows] == ["baseline", 0.9, 1.1]
+        assert all(r.map50 > 0 for r in rep.rows)
 
     def test_threads_do_not_change_results(self, world):
         records, _, _, ckpt_mask = world
         a = experiments.run_boundary_ablation(ckpt_mask, records, factors=(0.9, 1.1), threads=1)
         b = experiments.run_boundary_ablation(ckpt_mask, records, factors=(0.9, 1.1), threads=2)
         assert a.to_dict() == b.to_dict()
+        assert all(r.map50 > 0 for r in a.rows)
 
     def test_factor_one_rejected(self, world):
         records, _, _, ckpt_mask = world

@@ -13,8 +13,10 @@ Where the reference's input gradient holds a NaN, any NaN passes: the fold
 adds the same operands in the same order, but which of two NaN operands (say
 an input NaN and the one inf - inf makes) a sum returns depends on the
 operand order inside numpy's loops, which differs between strided and
-contiguous slices.  Outputs and parameter gradients come from unchanged code
-and keep the payload too.
+contiguous slices.  Outputs and parameter gradients keep the payload too: a
+non-finite weight gradient comes from the reference's own g @ cols^T product,
+not from the faster cols @ g^T that a finite one takes, and float64 always
+does.  Two fixed cases pin those guards, one each.
 
 The fold multiplies, at every stride, on an output grid widened by
 (kernel - 1) // stride zero columns per row, so it relies on the BLAS gemm

@@ -1,6 +1,7 @@
 """Detector tests: construction, pooling-slot behavior, target assignment,
 decoding, training determinism and checkpoint round trips."""
 
+import inspect
 import os
 import struct
 import subprocess
@@ -299,6 +300,16 @@ class TestDecodeNms:
         assert np.abs(np.array(best.box) - np.array(inst.box)).max() <= 0.5
 
 
+def train_and_save(prefix):
+    """Train a max and a mask detector for 20 steps at 64 px and save them as
+    ``<prefix>-<variant>.mplb``; sent to a child process as source."""
+    records = scenegen.generate_dataset(16, 64, seed=0)
+    for variant in ("max", "mask"):
+        cfg = detector.ModelConfig(pooling_variant=variant, image_size=64)
+        ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=20, seed=4)
+        detector.save_checkpoint(ckpt, f"{prefix}-{variant}.mplb")
+
+
 class TestTrain:
     def test_zero_iterations_equals_init(self):
         records = small_records(4)
@@ -331,25 +342,18 @@ class TestTrain:
     def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path):
         """Max and mask trainings at the default channels write the same checkpoint bytes in a
         child process held to one OpenBLAS thread as here, at the default thread count."""
-        child = ("import sys\n"
-                 "from maskpool_lab import detector, nn, scenegen\n"
-                 "records = scenegen.generate_dataset(16, 64, seed=0)\n"
-                 "for variant in ('max', 'mask'):\n"
-                 "    cfg = detector.ModelConfig(pooling_variant=variant, image_size=64)\n"
-                 "    ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=20, seed=4)\n"
-                 "    detector.save_checkpoint(ckpt, f'{sys.argv[1]}/{variant}.mplb')\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env, timeout=300,
+        child = (f"from maskpool_lab import detector, nn, scenegen\n{inspect.getsource(train_and_save)}"
+                 f"train_and_save({str(tmp_path / 'one')!r})\n")
+        proc = subprocess.run([sys.executable, "-c", child], env=env, timeout=300,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        records = scenegen.generate_dataset(16, 64, seed=0)
+        train_and_save(str(tmp_path / "here"))
         for variant in ("max", "mask"):
-            cfg = detector.ModelConfig(pooling_variant=variant, image_size=64)
-            ckpt = detector.train(records, cfg, nn.OptimizerConfig(), iterations=20, seed=4)
-            detector.save_checkpoint(ckpt, tmp_path / "here.mplb")
-            assert (tmp_path / "here.mplb").read_bytes() == (tmp_path / f"{variant}.mplb").read_bytes()
+            here, one = (tmp_path / f"{side}-{variant}.mplb" for side in ("here", "one"))
+            assert here.read_bytes() == one.read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):

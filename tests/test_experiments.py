@@ -25,9 +25,9 @@ def best_scores(model, records):
             detector.decode(head, dataclasses.replace(model.cfg, score_threshold=0.0))]
 
 
-def kept(results):
-    """Detections kept over every image of every result."""
-    return sum(len(dets) for r in results for dets in r.dets_by_image.values())
+def kept(result):
+    """Detections kept over every image of one evaluation."""
+    return sum(len(dets) for dets in result.dets_by_image.values())
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ class TestSettingsInOnePass:
         for (levels, w, every), got in zip(settings, results):
             want = experiments.evaluate_records(model, records, names, None, w, every, batch_size=4)
             assert got == want
-            assert kept([got]) > 0
+            assert kept(got) > 0
 
     def test_more_threads_than_cores_same_results(self, world):
         """Threads share each batch's activation and write their own setting's
@@ -99,7 +99,7 @@ class TestSettingsInOnePass:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
-        assert all(kept([r]) > 0 for r in want)
+        assert all(kept(r) > 0 for r in want)
 
 
 class TestArrayScoring:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detector, experiments, metrics, nn, scenegen
-from .errors import ConfigurationError, ParseError, check_number, load_json, write_json
+from . import detector, experiments, nn, scenegen
+from .errors import ConfigurationError, ParseError, check_number, check_numbers, load_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -68,22 +68,10 @@ def _int(cfg: dict, args, key: str, default=None, minimum=None) -> int:
                         integer=True, minimum=minimum)
 
 
-def _write_run_manifest(out_dir: Path, command: str, cfg: dict, seed, artifacts) -> None:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    doc = {
-        "schema": 1,
-        "command": command,
-        "config_hash": hashlib.sha256(blob).hexdigest(),
-        "seed": seed,
-        "artifacts": sorted(str(a) for a in artifacts),
-    }
-    write_json(out_dir / "run.json", doc)
-
-
-def _out_dir(cfg, args) -> Path:
-    out = Path(_resolve(cfg, args, "out", required=True))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be an object, got {value!r}")
+    return value
 
 
 def _bias_from_config(spec, n_classes: int, n_textures: int) -> scenegen.BiasSpec:
@@ -97,6 +85,9 @@ def _bias_from_config(spec, n_classes: int, n_textures: int) -> scenegen.BiasSpe
             p = check_number(spec["concentration"], "bias.concentration")
             return scenegen.BiasSpec.concentrated(n_classes, n_textures, float(p))
         return scenegen.BiasSpec.uniform(n_classes, n_textures)
+    if not (isinstance(spec, list) and all(len(check_numbers(r, "bias row")) == n_textures for r in spec)):
+        raise ConfigurationError(f"bias must be an object or a list of rows of {n_textures} numbers, "
+                                 f"got {spec!r}")
     return scenegen.BiasSpec(np.asarray(spec, dtype=np.float64))
 
 
@@ -109,9 +100,7 @@ def _bg_pool_from_config(spec, image_size: int, seed: int):
         if not Path(spec["dir"]).is_dir():
             raise ConfigurationError(f"bg.dir {str(spec['dir'])!r} is missing or not a directory")
         return scenegen.load_bg_pool(spec["dir"])
-    gen = spec["generate"]
-    if not isinstance(gen, dict):
-        raise ConfigurationError(f"bg.generate must be an object, got {gen!r}")
+    gen = _object(spec["generate"], "bg.generate")
     extra = set(gen) - {"n", "seed", "size"}
     if extra:
         raise ConfigurationError(f"unknown bg.generate keys: {sorted(extra)}")
@@ -120,21 +109,11 @@ def _bg_pool_from_config(spec, image_size: int, seed: int):
                                                     minimum=m) for k, d, m in keys))
 
 
-def _checkpoint_ids(ckpt_path, dataset_path):
-    model_id = Path(ckpt_path).stem
-    dataset_id = Path(dataset_path).name or str(dataset_path)
-    if dataset_id == "manifest.json":
-        dataset_id = Path(dataset_path).parent.name
-    return model_id, dataset_id
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0, minimum=0)
+def cmd_gen(cfg: dict, args, out: Path, seed: int) -> list:
     classes, textures = (scenegen.check_names(key, cfg.get(key, known), known) for key, known in
                          (("classes", scenegen.DEFAULT_CLASSES), ("textures", scenegen.DEFAULT_TEXTURES)))
     bias = _bias_from_config(cfg.get("bias"), len(classes), len(textures))
@@ -145,17 +124,17 @@ def cmd_gen(cfg: dict, args) -> int:
         objects_per_image=cfg.get("objects_per_image", (1, 4)),
         seed=seed, out_dir=out,
         size_range=cfg.get("size_range", scenegen.DEFAULT_SIZE_RANGE))
-    _write_run_manifest(out, "gen", cfg, seed, ["manifest.json"])
     log.info("generated %d images under %s", len(manifest), out)
-    return 0
+    return ["manifest.json"]
 
 
-def cmd_train(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0, minimum=0)
+def cmd_train(cfg: dict, args, out: Path, seed: int) -> list:
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
-    model_cfg = detector.ModelConfig.from_dict(cfg.get("model", {}))
-    opt_raw = cfg.get("optimizer", {})
+    model_cfg = detector.ModelConfig.from_dict(_object(cfg.get("model", {}), "model"))
+    if model_cfg.num_classes != len(dataset.classes):
+        raise ConfigurationError(f"model.num_classes is {model_cfg.num_classes}, but the dataset "
+                                 f"has {len(dataset.classes)} classes {dataset.classes}")
+    opt_raw = _object(cfg.get("optimizer", {}), "optimizer")
     unknown = set(opt_raw) - _OPTIMIZER_KEYS
     if unknown:
         raise ConfigurationError(f"unknown optimizer keys: {sorted(unknown)}")
@@ -166,14 +145,11 @@ def cmd_train(cfg: dict, args) -> int:
                           seed=seed)
     ckpt_path = out / "checkpoint.mplb"
     detector.save_checkpoint(ckpt, ckpt_path)
-    _write_run_manifest(out, "train", cfg, seed, [ckpt_path.name])
     log.info("checkpoint written to %s", ckpt_path)
-    return 0
+    return [ckpt_path.name]
 
 
-def cmd_eval(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0, minimum=0)
+def cmd_eval(cfg: dict, args, out: Path, seed: int) -> list:
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
     ckpt = detector.load_checkpoint(_resolve(cfg, args, "checkpoint", required=True))
     model = detector.model_from_checkpoint(ckpt)
@@ -187,14 +163,11 @@ def cmd_eval(cfg: dict, args) -> int:
             for img in sorted(result.dets_by_image)
             for d in result.dets_by_image[img]]
     write_json(out / "detections.json", dets)
-    _write_run_manifest(out, "eval", cfg, seed, ["eval.json", "detections.json"])
     log.info("mAP50 %.3f", result.map50)
-    return 0
+    return ["eval.json", "detections.json"]
 
 
-def cmd_swap_bg(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0, minimum=0)
+def cmd_swap_bg(cfg: dict, args, out: Path, seed: int) -> list:
     dataset = scenegen.load_dataset(_resolve(cfg, args, "dataset", required=True))
     records, class_names = experiments.load_records(dataset)
     image_size = records[0].image.shape[0] if records else 128
@@ -209,51 +182,53 @@ def cmd_swap_bg(cfg: dict, args) -> int:
     else:
         raise ConfigurationError(f"swap-bg mode must be random|fixed, got {mode!r}")
     scenegen.save_dataset(swapped, class_names, out, seed=seed, bias=None)
-    _write_run_manifest(out, "swap-bg", cfg, seed, ["manifest.json"])
     log.info("materialized %d swapped images under %s", len(swapped), out)
-    return 0
+    return ["manifest.json"]
 
 
-def _run_report(cfg: dict, args, command: str, stem: str, runner) -> experiments.ExperimentReport:
-    """Run ``runner(ckpt, dataset, threads=, model_id=, dataset_id=)``; write <stem>.json, .csv, run.json."""
-    out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0, minimum=0)
+def _run_report(cfg: dict, args, out: Path, stem: str, runner) -> list:
+    """Run ``runner(ckpt, dataset, threads=, model_id=, dataset_id=)``, the ids being the
+    checkpoint file's stem and the dataset directory's name; write <stem>.json and .csv."""
     dataset_path = _resolve(cfg, args, "dataset", required=True)
     ckpt_path = _resolve(cfg, args, "checkpoint", required=True)
     dataset = scenegen.load_dataset(dataset_path)
     ckpt = detector.load_checkpoint(ckpt_path)
-    model_id, dataset_id = _checkpoint_ids(ckpt_path, dataset_path)
-    report = runner(ckpt, dataset, threads=args.threads, model_id=model_id, dataset_id=dataset_id)
+    dataset_id = Path(dataset_path).name or str(dataset_path)
+    if dataset_id == "manifest.json":
+        dataset_id = Path(dataset_path).parent.name
+    report = runner(ckpt, dataset, threads=args.threads, model_id=Path(ckpt_path).stem, dataset_id=dataset_id)
     report.write_json(out / f"{stem}.json")
     report.write_csv(out / f"{stem}.csv")
-    _write_run_manifest(out, command, cfg, seed, [f"{stem}.json", f"{stem}.csv"])
-    return report
+    agg = report.aggregates["map50"]
+    log.info("%s mAP50 min %.3f max %.3f diff %.3f", stem, agg["min"], agg["max"], agg["diff"])
+    return [f"{stem}.json", f"{stem}.csv"]
 
 
-def cmd_perturb(cfg: dict, args) -> int:
-    def runner(ckpt, dataset, **kw):
-        sweep = experiments.SweepSpec(cfg["weights"]) if "weights" in cfg else None
-        return experiments.run_bg_activation_sweep(
-            ckpt, dataset, sweep, bool(cfg.get("perturb_all_stages", False)), **kw)
-
-    agg = _run_report(cfg, args, "perturb", "sweep", runner).aggregates["map50"]
-    log.info("sweep min %.3f max %.3f diff %.3f", agg["min"], agg["max"], agg["diff"])
-    return 0
+def cmd_perturb(cfg: dict, args, out: Path, seed: int) -> list:
+    every = cfg.get("perturb_all_stages", False)
+    if not isinstance(every, bool):
+        raise ConfigurationError(f"perturb_all_stages must be true or false, got {every!r}")
+    sweep = experiments.SweepSpec(cfg["weights"]) if "weights" in cfg else None
+    return _run_report(cfg, args, out, "sweep", lambda ckpt, dataset, **kw:
+                       experiments.run_bg_activation_sweep(ckpt, dataset, sweep, every, **kw))
 
 
-def cmd_ablate(cfg: dict, args) -> int:
+def cmd_ablate(cfg: dict, args, out: Path, seed: int) -> list:
     factors = cfg.get("factors", experiments.DEFAULT_MORPH_FACTORS)
-    _run_report(cfg, args, "ablate", "ablation",
-                lambda ckpt, dataset, **kw: experiments.run_boundary_ablation(ckpt, dataset, factors, **kw))
-    return 0
+    return _run_report(cfg, args, out, "ablation", lambda ckpt, dataset, **kw:
+                       experiments.run_boundary_ablation(ckpt, dataset, factors, **kw))
 
 
-def cmd_report(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seed = _int(cfg, args, "seed", 0, minimum=0)
+def cmd_report(cfg: dict, args, out: Path, seed: int) -> list:
     paths = cfg.get("reports", [])
     if not (paths and isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
         raise ConfigurationError(f"report command needs a non-empty 'reports' list of paths, got {paths!r}")
+    diff = cfg.get("diff", {})
+    if "diff" in cfg and not (isinstance(diff, dict) and set(diff) == {"a", "b"}):
+        raise ConfigurationError(f"diff must be an object with exactly keys 'a' and 'b', got {diff!r}")
+    for key, path in diff.items():
+        if not isinstance(path, str):
+            raise ConfigurationError(f"diff.{key} must be a report path, got {path!r}")
     reports = [experiments.ExperimentReport.read_json(p) for p in paths]
     summary = {"schema": 1, "reports": []}
     for p, rep in zip(paths, reports):
@@ -268,19 +243,13 @@ def cmd_report(cfg: dict, args) -> int:
             f.write(f"{row['model_id']},{row['dataset_id']},{row['intervention']},"
                     f"{row['mean']:.3f},{row['std']:.3f},{row['min']:.3f},"
                     f"{row['max']:.3f},{row['diff']:.3f}\n")
-    artifacts = ["summary.json", "summary.csv"]
-    if "diff" in cfg:
-        d = cfg["diff"]
-        if set(d) - {"a", "b"}:
-            raise ConfigurationError("diff config takes exactly keys 'a' and 'b'")
-        rep_a = experiments.ExperimentReport.read_json(d["a"])
-        rep_b = experiments.ExperimentReport.read_json(d["b"])
-        diff = experiments.diff_report(rep_a, rep_b, rep_a.model_id, rep_b.model_id)
-        write_json(out / "diff.json", diff)
-        (out / "diff.txt").write_text(experiments.render_diff_table(diff) + "\n")
-        artifacts += ["diff.json", "diff.txt"]
-    _write_run_manifest(out, "report", cfg, seed, artifacts)
-    return 0
+    if not diff:
+        return ["summary.json", "summary.csv"]
+    rep_a, rep_b = (experiments.ExperimentReport.read_json(diff[k]) for k in ("a", "b"))
+    table = experiments.diff_report(rep_a, rep_b, rep_a.model_id, rep_b.model_id)
+    write_json(out / "diff.json", table)
+    (out / "diff.txt").write_text(experiments.render_diff_table(table) + "\n")
+    return ["summary.json", "summary.csv", "diff.json", "diff.txt"]
 
 
 _COMMANDS = {
@@ -308,11 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Resolve ``out`` (created) and ``seed``, run the command, then write ``run.json``
+    listing the artifacts it returns; a command that raises leaves no ``run.json``."""
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.command)
-        return _COMMANDS[args.command](cfg, args)
+        out = Path(_resolve(cfg, args, "out", required=True))
+        out.mkdir(parents=True, exist_ok=True)
+        seed = _int(cfg, args, "seed", 0, minimum=0)
+        check_number(args.threads, "--threads", integer=True, minimum=1)
+        artifacts = _COMMANDS[args.command](cfg, args, out, seed)
+        blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+        doc = {"schema": 1, "command": args.command, "config_hash": hashlib.sha256(blob).hexdigest(),
+               "seed": seed, "artifacts": sorted(artifacts)}
+        write_json(out / "run.json", doc)
+        return 0
     except (ConfigurationError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

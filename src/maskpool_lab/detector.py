@@ -52,9 +52,10 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.channels, (list, tuple)):
             raise ConfigurationError(f"channels must be a list of integers, got {self.channels!r}")
-        for name, v in (("image_size", self.image_size), ("grid_stride", self.grid_stride),
-                        ("num_classes", self.num_classes), *(("channels entry", c) for c in self.channels)):
-            check_number(v, name, integer=True)  # a string or float would end in a TypeError further on
+        sizes = (("grid_stride", self.grid_stride, None), ("image_size", self.image_size, self.grid_stride),
+                 ("num_classes", self.num_classes, 1), *(("channels entry", c, 1) for c in self.channels))
+        for name, v, least in sizes:  # a string, a float or a size below 1 would fail further on
+            check_number(v, name, integer=True, minimum=least)
         self.channels = tuple(int(c) for c in self.channels)
         if self.pooling_variant not in POOLING_VARIANTS:
             raise ConfigurationError(f"pooling_variant must be one of {POOLING_VARIANTS}")
@@ -62,13 +63,11 @@ class ModelConfig:
             raise ConfigurationError(f"pool_placement must be one of {POOL_PLACEMENTS}")
         if len(self.channels) != 4:
             raise ConfigurationError("channels must list 4 widths (stem + 3 stages)")
-        if self.image_size % self.grid_stride != 0:
-            raise ConfigurationError("image_size must be divisible by grid_stride")
         # stem (2) * pooling slot (2) * one stride-2 stage = 8
         if self.grid_stride != 8:
             raise ConfigurationError("fixed topology produces grid_stride 8")
-        if self.num_classes < 1:
-            raise ConfigurationError("num_classes must be >= 1")
+        if self.image_size % self.grid_stride != 0:
+            raise ConfigurationError("image_size must be divisible by grid_stride")
         # a NaN threshold compares False everywhere: no detections and no error
         if not (isinstance(self.score_threshold, numbers.Real) and 0.0 <= self.score_threshold <= 1.0):
             raise ConfigurationError(f"score_threshold must be in [0, 1], got {self.score_threshold!r}")
@@ -165,14 +164,6 @@ def build_model(cfg: ModelConfig, seed: int) -> Model:
 # ---------------------------------------------------------------------------
 # the op list: the network's one definition
 # ---------------------------------------------------------------------------
-
-def bg_mode(bg_weight: float, perturb_all_stages: bool) -> str | None:
-    """None at w == 1 (no bg ops: the baseline, bit for bit, without masks), else
-    'slot' (scale the pooling slot's input) or 'all' (every stage's and the slot's output)."""
-    if bg_weight == 1.0:
-        return None
-    return "all" if perturb_all_stages else "slot"
-
 
 @dataclass
 class Pass:
@@ -289,23 +280,26 @@ class BoxScale(Op):
     backward = forward
 
 
-def build_ops(cfg: ModelConfig, bg_mode: str | None = None) -> list:
+def build_ops(cfg: ModelConfig, bg_weight: float = 1.0, perturb_all_stages: bool = False) -> list:
     """The pooling slot sits after the stem or after stage1; the first stage
-    after it has stride 2.  ``bg_mode`` (see ``bg_mode()``) adds BgScale ops."""
+    after it has stride 2.  At ``bg_weight`` != 1, BgScale ops scale the slot's input,
+    or with ``perturb_all_stages`` the slot's and every stage's output; at w == 1
+    there are none: the baseline, bit for bit, without masks."""
+    every = bg_weight != 1.0 and perturb_all_stages
     convs_before_pool = 1 if cfg.pool_placement == "post_stem" else 2
     ops, stride = [], 1
     for i, name in enumerate(("stem", "stage1", "stage2", "stage3")):
         if i == convs_before_pool:
-            if bg_mode == "slot":
+            if bg_weight != 1.0 and not perturb_all_stages:
                 ops.append(BgScale(stride))
             ops.append(Pool(cfg.pooling_variant, stride if cfg.pooling_variant == "mask" else None))
             stride *= 2
-            if bg_mode == "all":
+            if every:
                 ops.append(BgScale(stride))
         step = 2 if i in (0, convs_before_pool) else 1
         stride *= step
         ops += [Conv(name, step, 1), Relu()]
-        if bg_mode == "all":
+        if every:
             ops.append(BgScale(stride))
     return ops + [Conv("head", 1, 0), BoxScale()]
 
@@ -318,7 +312,7 @@ def mask_levels(cfg: ModelConfig, masks, bg_weight: float = 1.0,
                 perturb_all_stages: bool = False) -> dict | None:
     """The per-stride mask stacks {stride: (n, h', w')} of the (h, w) ``masks`` at
     the strides the network reads under this perturbation; None when it reads none."""
-    strides = mask_strides(build_ops(cfg, bg_mode(bg_weight, perturb_all_stages)))
+    strides = mask_strides(build_ops(cfg, bg_weight, perturb_all_stages))
     return maskpool.build_pyramid(masks, strides) if strides else None
 
 
@@ -326,9 +320,17 @@ def forward(model: Model, image_batch: np.ndarray, levels=None,
             bg_weight: float = 1.0, perturb_all_stages: bool = False) -> DetHeadOutput:
     """Inference forward pass.  ``levels`` are the batch's per-stride mask stacks
     (see ``mask_levels``), required iff the variant is 'mask' or bg_weight != 1."""
-    ops = build_ops(model.cfg, bg_mode(bg_weight, perturb_all_stages))
+    ops = build_ops(model.cfg, bg_weight, perturb_all_stages)
     raw = Pass(ops, model, levels, bg_weight).forward(image_batch)
     return DetHeadOutput.from_raw(raw, model.cfg.num_classes)
+
+
+def check_images(cfg: ModelConfig, records) -> None:
+    """ConfigurationError naming the first record whose image is not image_size square."""
+    for r in records:
+        if r.image.shape[:2] != (cfg.image_size, cfg.image_size):
+            raise ConfigurationError(f"record {r.image_id!r}: image is {r.image.shape[1]}x{r.image.shape[0]} "
+                                     f"px, the model's image_size is {cfg.image_size}")
 
 
 def images_to_tensor(images: np.ndarray) -> np.ndarray:
@@ -482,19 +484,14 @@ def nms(dets, iou_thresh: float):
 
 
 def kept_rows(head: DetHeadOutput, cfg: ModelConfig):
-    """``detect``'s output as arrays: the number of detections each image keeps,
-    then their class, score, cell and box, image after image."""
+    """``[nms(d, cfg.nms_iou) for d in decode(head, cfg)]`` as arrays: the number of
+    detections each image keeps, then their class, score, cell and box, image after
+    image; ``to_detections`` turns them into the same Detection lists."""
     bounds, cls, score, cell, box = _candidates(head, cfg)
     kept = [lo + _nms_kept(cls[lo:hi], score[lo:hi], cell[lo:hi], box[lo:hi], cfg.nms_iou)
             for lo, hi in zip(bounds, bounds[1:])]
     k = np.concatenate([np.zeros(0, np.intp), *kept])
     return np.array([len(i) for i in kept], dtype=int), cls[k], score[k], cell[k], box[k]
-
-
-def detect(head: DetHeadOutput, cfg: ModelConfig):
-    """``[nms(d, cfg.nms_iou) for d in decode(head, cfg)]``, building Detections
-    only for the candidates NMS keeps."""
-    return to_detections(*kept_rows(head, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +531,7 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
     records = dataset.load_all() if hasattr(dataset, "load_all") else list(dataset)
     if not records:
         raise ConfigurationError("training dataset is empty")
+    check_images(model_cfg, records)
     levels = mask_levels(model_cfg, [r.fg_mask for r in records])
 
     model = build_model(model_cfg, seed)

@@ -146,7 +146,7 @@ class EvalResult:
 
     @cached_property
     def dets_by_image(self) -> dict:
-        """{image id: ``detector.detect``'s Detections}, built on first read."""
+        """{image id: ``detector.to_detections`` of its kept rows}, built on first read."""
         ids, *rows = self.kept
         return dict(zip(ids, detector.to_detections(*rows)))
 
@@ -155,20 +155,24 @@ class EvalResult:
         return isinstance(other, EvalResult) and all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
-def evaluate_records(model, records, class_names, levels=None,
-                     bg_weight: float = 1.0, perturb_all_stages: bool = False,
-                     batch_size: int = 16, *, settings=None, threads: int = 1):
-    """Run inference over records and score mAP50 + hierarchical F1 for one setting:
+def evaluate_records(model, records, class_names, levels=None, batch_size: int = 16, *,
+                     settings=None, threads: int = 1):
+    """Run inference over records and score mAP50 + hierarchical F1, unperturbed with
     ``levels`` (the records' per-stride mask stacks, ``detector.mask_levels``; by default
-    built from their own masks), ``bg_weight`` and ``perturb_all_stages``.  Given
-    ``settings``, a list of such triples, scores each in the same pass over the batches
-    and returns a list with one EvalResult per setting.
+    built from their own masks).  Given ``settings``, a list of ``(levels, bg_weight,
+    perturb_all_stages)``, scores each in the same pass over the batches and returns a
+    list with one EvalResult per setting.
 
     Every setting's op list starts with the same Conv/Relu ops before its first mask
     reader, so a batch runs them once and ``threads`` settings at a time go on from there:
     bit for bit a walk per setting only because no op writes to its input.  The rows NMS
-    keeps are scored as arrays (``metrics.score``).  A repeated image id raises
-    ConfigurationError before any record runs."""
+    keeps are scored as arrays (``metrics.score``).  A repeated image id, an image that
+    is not ``image_size`` square or a class list of another length than the model's
+    raises ConfigurationError before any record runs."""
+    cfg = model.cfg
+    if len(class_names) != cfg.num_classes:
+        raise ConfigurationError(f"{len(class_names)} class names for a model of {cfg.num_classes} classes")
+    detector.check_images(cfg, records)
     ids = [r.image_id for r in records]
     first = {}
     for i, img in enumerate(ids):
@@ -177,11 +181,9 @@ def evaluate_records(model, records, class_names, levels=None,
     one = settings is None
     if one:
         if levels is None:
-            levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records], bg_weight,
-                                          perturb_all_stages)
-        settings = [(levels, bg_weight, perturb_all_stages)]
-    cfg = model.cfg
-    op_lists = [detector.build_ops(cfg, detector.bg_mode(w, every)) for _, w, every in settings]
+            levels = detector.mask_levels(cfg, [r.fg_mask for r in records])
+        settings = [(levels, 1.0, False)]
+    op_lists = [detector.build_ops(cfg, w, every) for _, w, every in settings]
     split = min(next((i for i, op in enumerate(ops) if op.mask_stride is not None), len(ops))
                 for ops in op_lists)
     no_rows = (np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros((0, 4)))

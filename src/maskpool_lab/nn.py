@@ -463,12 +463,10 @@ def loss_smooth_l1(pred: Array, target: Array, valid_mask: Array, beta: float = 
 # ---------------------------------------------------------------------------
 
 def sgd_step(params, cfg: OptimizerConfig) -> None:
-    """SGD with momentum and weight decay; zeroes gradients afterwards.
+    """SGD with momentum and weight decay over a list of LayerParams; zeroes gradients afterwards.
 
     v <- momentum * v + grad + weight_decay * w ;  w <- w - lr * v
     """
-    if isinstance(params, LayerParams):
-        params = [params]
     lr, mom, wd = FLOAT(cfg.learning_rate), FLOAT(cfg.momentum), FLOAT(cfg.weight_decay)
     for p in params:
         for w, g, v in ((p.weights, p.grad_weights, p.vel_weights),

@@ -108,10 +108,6 @@ class DatasetManifest:
     seed: int | None = None
     bias: list | None = None
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
     def __len__(self):
         return len(self.images)
 

@@ -220,6 +220,24 @@ class TestConfigHandling:
         ("swap-bg", {"bg": {"generate": {"size": -3}}}, "bg.generate.size"),
         ("swap-bg", {"bg": {"generate": {"seed": -1}}}, "bg.generate.seed"),
         ("swap-bg", {"bg": {"generate": {"n": 0}}}, "bg.generate.n"),
+        ("perturb", {"perturb_all_stages": "false"}, "perturb_all_stages"),
+        ("perturb", {"perturb_all_stages": 1}, "perturb_all_stages"),
+        ("report", {"reports": ["r.json"], "diff": 5}, "diff must be an object"),
+        ("report", {"reports": ["r.json"], "diff": {"a": "r.json"}}, "diff must be an object"),
+        ("report", {"reports": ["r.json"], "diff": {"a": "r.json", "b": "r.json", "c": "r.json"}},
+         "diff must be an object"),
+        ("report", {"reports": ["r.json"], "diff": {"a": "r.json", "b": 7}}, "diff.b"),
+        ("report", {"reports": ["r.json"], "diff": {"a": None, "b": "r.json"}}, "diff.a"),
+        ("train", {"model": 5}, "model must be an object"),
+        ("train", {"optimizer": 5}, "optimizer must be an object"),
+        ("train", {"model": {"image_size": 0}}, "image_size"),
+        ("train", {"model": {"image_size": -8}}, "image_size"),
+        ("train", {"model": {"image_size": 64, "channels": [8, 0, 24, 24]}}, "channels entry"),
+        ("train", {"model": {"image_size": 64, "channels": [8, -2, 24, 24]}}, "channels entry"),
+        ("gen", {"bias": "abc"}, "bias"),
+        ("gen", {"bias": [["a", 0.5, 0.25, 0.25]] * 3}, "bias row"),
+        ("gen", {"bias": [[0.5, 0.5]] * 3}, "bias"),
+        ("gen", {"bias": [[1.0, 0.0, 0.0, 0.0], [1.0]]}, "bias"),
     ])
     def test_mistyped_config_value_exit_1(self, tiny, tmp_path, capsys, command, cfg, key):
         data, ckpt = (str(p) for p in tiny)
@@ -233,6 +251,58 @@ class TestConfigHandling:
         assert cli.main([command, "--config", path]) == 1
         assert key in capsys.readouterr().err
         assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_1_exit_1(self, tmp_path, capsys, threads):
+        out = tmp_path / "data"
+        assert cli.main(["gen", "--config", gen_config(tmp_path, out, n_images=2), "--threads", threads]) == 1
+        assert f"--threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("command, gen, expected", [
+        ("eval", {"image_size": 128}, "image is 128x128 px, the model's image_size is 64"),
+        ("eval", {"classes": ["triangle", "circle"]}, "2 class names for a model of 3 classes"),
+        ("train", {"image_size": 128}, "image is 128x128 px, the model's image_size is 64"),
+        ("train", {"classes": ["triangle", "circle"]}, "model.num_classes is 3, but the dataset has 2 classes"),
+    ])
+    def test_data_the_model_does_not_fit_exit_1(self, tiny, tmp_path, capsys, command, gen, expected):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert cli.main(["gen", "--config", gen_config(tmp_path, data, n_images=2, **gen)]) == 0
+        cfg = {"eval": {"checkpoint": str(tiny[1])},
+               "train": {"model": {"image_size": 64, "channels": [8, 16, 24, 24]}, "iterations": 1}}[command]
+        path = write_config(tmp_path / "c.json", dataset=str(data), out=str(out), **cfg)
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert expected in err
+        if "image_size" in gen:  # the first record that does not fit is named
+            assert f"record {scenegen.load_dataset(data).images[0]['id']!r}" in err
+        assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("case", [*cli._COMMANDS, "report+diff"])
+    def test_run_json_lists_exactly_the_files_written(self, tiny, tmp_path, case):
+        command = case.split("+")[0]
+        data, ckpt = (str(p) for p in tiny)
+        report = str(tmp_path / "rep" / "sweep.json")
+        if command == "report":
+            cfg = write_config(tmp_path / "p.json", dataset=data, checkpoint=ckpt, weights=[0.5],
+                               out=str(tmp_path / "rep"))
+            assert cli.main(["perturb", "--config", cfg]) == 0
+        cfg = {"gen": {"n_images": 2, "image_size": 64, "size_range": [12, 28]},
+               "train": {"dataset": data, "iterations": 1,
+                         "model": {"image_size": 64, "channels": [8, 16, 24, 24]}},
+               "eval": {"dataset": data, "checkpoint": ckpt},
+               "swap-bg": {"dataset": data, "bg": {"generate": {"n": 2}}},
+               "perturb": {"dataset": data, "checkpoint": ckpt, "weights": [0.5]},
+               "ablate": {"dataset": data, "checkpoint": ckpt, "factors": [1.2]},
+               "report": {"reports": [report]},
+               "report+diff": {"reports": [report], "diff": {"a": report, "b": report}}}[case]
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path / "c.json", **cfg, out=str(out))]) == 0
+        run = json.loads((out / "run.json").read_text())
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} - {"run.json"}
+        if command in ("gen", "swap-bg"):  # the manifest names the images and masks beside it
+            written -= {e[k] for e in scenegen.load_dataset(out).images for k in ("file", "mask_file")}
+        assert run["command"] == command and run["artifacts"] == sorted(written)
 
 
 class TestGen:
@@ -264,7 +334,7 @@ class TestGen:
                               "score": 1.0, "bbox": i.box} for i in r.instances]
                 for r in records}
         gts = {r.image_id: r.instances for r in records}
-        m, _ = metrics.map50(dets, gts, manifest.num_classes)
+        m, _ = metrics.map50(dets, gts, len(manifest.classes))
         assert f"{m:.3f}" == "100.000"
 
     @pytest.mark.parametrize("key", ["objects_per_image", "size_range"])
@@ -467,6 +537,19 @@ class TestPipeline:
             outs.append(out)
         for name in ("sweep.json", "sweep.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_ablate_threads_flag_same_bytes(self, pipeline, tmp_path):
+        root, data, ckpts = pipeline
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            cfg = write_config(tmp_path / f"t{threads}.json", dataset=str(data),
+                               checkpoint=str(ckpts["mask"]), factors=[0.8, 0.9, 1.1, 1.2], out=str(out))
+            assert cli.main(["ablate", "--config", cfg, "--threads", threads]) == 0
+            outs.append(out)
+        for name in ("ablation.json", "ablation.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert all(r["map50"] > 0 for r in json.loads((outs[0] / "ablation.json").read_text())["rows"])
 
     def test_perturb_all_stages_reaches_runner(self, pipeline, tmp_path, monkeypatch):
         root, data, ckpts = pipeline

@@ -1,4 +1,4 @@
-"""Decode, per-class NMS and the fused ``detect`` against the scalar versions in
+"""Decode, per-class NMS and the fused ``kept_rows`` against the scalar versions in
 tests/decode_reference.py: the same detections, in the same order, with the
 same plain Python field types, compared through ``repr`` (which round-trips
 every float, including -0.0, inf and nan) and object identity, on random
@@ -119,7 +119,7 @@ def test_detect_matches_reference_decode_then_nms(case, thr):
     head, cfg = case
     cfg = dataclasses.replace(cfg, nms_iou=thr)
     with np.errstate(all="ignore"):
-        new = detector.detect(head, cfg)
+        new = detector.to_detections(*detector.kept_rows(head, cfg))
         old = [ref.nms(d, cfg.nms_iou) for d in ref.decode(head, cfg)]
     assert isinstance(new, list) and len(new) == len(old)
     for a, b in zip(new, old):

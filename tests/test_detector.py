@@ -93,6 +93,17 @@ class TestBuild:
         with pytest.raises(ConfigurationError, match=key):
             detector.ModelConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("image_size", 0, "image_size must be an integer >= 8, got 0"),
+        ("image_size", -8, "image_size must be an integer >= 8, got -8"),
+        ("channels", [8, 0, 24, 24], "channels entry must be an integer >= 1, got 0"),
+        ("channels", [8, -2, 24, 24], "channels entry must be an integer >= 1, got -2"),
+        ("num_classes", 0, "num_classes must be an integer >= 1, got 0"),
+        ("grid_stride", 0, "fixed topology produces grid_stride 8")])
+    def test_sizes_below_their_bound_named(self, key, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            detector.ModelConfig.from_dict({key: value})
+
     def test_integer_fields_accept_numpy_integers(self):
         cfg = detector.ModelConfig(image_size=np.int64(64), channels=[np.int32(8)] * 4)
         assert cfg.grid_size == 8 and cfg.channels == (8, 8, 8, 8)
@@ -132,7 +143,7 @@ class TestForward:
 
     def test_pass_names_each_missing_mask_stride(self):
         model = detector.build_model(small_cfg("mask"), seed=3)
-        ops = detector.build_ops(model.cfg, "all")
+        ops = detector.build_ops(model.cfg, 0.5, True)
         levels = maskpool.build_pyramid([np.ones((64, 64), np.uint8)], {2})
         with pytest.raises(ConfigurationError, match=r"masks required: .* \[4, 8\]"):
             detector.Pass(ops, model, levels, 0.5)
@@ -154,7 +165,7 @@ class TestForward:
         x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
         levels = maskpool.build_pyramid([np.ones((64, 64), np.uint8)] * 2, {2, 4, 8})
         base = detector.forward(model, x, levels)
-        ops = detector.build_ops(model.cfg, "all")
+        ops = detector.build_ops(model.cfg, 0.5, True)
         assert sum(isinstance(op, detector.BgScale) for op in ops) == 5
         for w in (0.0, 0.5, 2.75):
             out = detector.forward(model, x, levels, bg_weight=w, perturb_all_stages=True)
@@ -372,6 +383,12 @@ class TestTrain:
         with pytest.raises(ConfigurationError, match=message):
             detector.train(small_records(2), small_cfg(), nn.OptimizerConfig(), seed=0, **args)
 
+    def test_records_of_another_image_size_named(self):
+        records = [*small_records(2), *small_records(2, size=128, seed=1)]
+        with pytest.raises(ConfigurationError, match=f"record {records[2].image_id!r}: image is 128x128 px, "
+                                                     "the model's image_size is 64"):
+            detector.train(records, small_cfg(), nn.OptimizerConfig(), iterations=1, seed=0)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigurationError):
             detector.train([], small_cfg(), nn.OptimizerConfig(), iterations=1, seed=0)
@@ -454,7 +471,7 @@ def test_inference_pass_keeps_nothing(variant):
     """Only a training walk keeps inputs, conv columns and pooling argmax or records."""
     records = small_records(2)
     cfg = small_cfg(variant)
-    ops = detector.build_ops(cfg, "slot")
+    ops = detector.build_ops(cfg, 0.5)
     levels = detector.mask_levels(cfg, [r.fg_mask for r in records], 0.5)
     x = detector.images_to_tensor(np.stack([r.image for r in records]))
     detector.Pass(ops, detector.build_model(cfg, seed=1), levels, 0.5).forward(x)

@@ -58,6 +58,16 @@ class TestEvaluate:
         assert a.map50 == b.map50
         assert a.per_class_ap == b.per_class_ap
 
+    def test_records_and_classes_the_model_does_not_fit_are_rejected(self, world):
+        records, names, ckpt_max, _ = world
+        model = detector.model_from_checkpoint(ckpt_max)
+        big = scenegen.generate_dataset(1, 128, seed=4)[0]
+        with pytest.raises(ConfigurationError, match=f"record {big.image_id!r}: image is 128x128 px, "
+                                                     "the model's image_size is 64"):
+            experiments.evaluate_records(model, [*records[:2], big], names)
+        with pytest.raises(ConfigurationError, match="2 class names for a model of 3 classes"):
+            experiments.evaluate_records(model, records, names[:2])
+
     def test_inputs_not_mutated(self, world):
         records, names, ckpt_max, _ = world
         before = [(r.image.copy(), r.fg_mask.copy()) for r in records]
@@ -79,7 +89,8 @@ class TestSettingsInOnePass:
         results = experiments.evaluate_records(model, records, names, batch_size=4,
                                                settings=settings)
         for (levels, w, every), got in zip(settings, results):
-            want = experiments.evaluate_records(model, records, names, None, w, every, batch_size=4)
+            want = experiments.evaluate_records(model, records, names, batch_size=4,
+                                                settings=[(levels, w, every)])[0]
             assert got == want
             assert kept(got) > 0
 
@@ -105,7 +116,7 @@ class TestSettingsInOnePass:
 class TestArrayScoring:
     """``evaluate_records`` scores the rows NMS keeps as arrays; its results must read
     as if the public metrics had scored its own detections, and those detections
-    must be ``detector.detect``'s."""
+    must be ``detector.kept_rows``'s."""
 
     @staticmethod
     def model(ckpt, records):
@@ -149,7 +160,7 @@ class TestArrayScoring:
         head = detector.forward(model, detector.images_to_tensor(np.stack([r.image for r in records])),
                                 detector.mask_levels(model.cfg, [r.fg_mask for r in records]))
         assert list(r.dets_by_image) == [rec.image_id for rec in records]
-        for rec, dets in zip(records, detector.detect(head, model.cfg)):
+        for rec, dets in zip(records, detector.to_detections(*detector.kept_rows(head, model.cfg))):
             assert fingerprint(r.dets_by_image[rec.image_id]) == fingerprint(dets)
 
     def test_a_repeated_image_id_is_rejected(self, world):

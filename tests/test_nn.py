@@ -291,13 +291,13 @@ class TestSgd:
     def test_single_step(self):
         p = nn.LayerParams(weights=t4([2.0], (1, 1, 1, 1)), bias=np.zeros(1, np.float32))
         p.grad_weights[...] = 0.5
-        nn.sgd_step(p, nn.OptimizerConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0))
+        nn.sgd_step([p], nn.OptimizerConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0))
         assert p.weights.reshape(()) == pytest.approx(1.5)
         assert np.all(p.grad_weights == 0)
 
     def test_zero_grad_is_noop(self):
         p = nn.LayerParams(weights=t4([2.0], (1, 1, 1, 1)), bias=np.zeros(1, np.float32))
-        nn.sgd_step(p, nn.OptimizerConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0))
+        nn.sgd_step([p], nn.OptimizerConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0))
         assert p.weights.reshape(()) == 2.0
 
     def test_momentum_two_steps(self):
@@ -306,11 +306,11 @@ class TestSgd:
         p = nn.LayerParams(weights=t4([1.0], (1, 1, 1, 1)), bias=np.zeros(1, np.float32))
         cfg = nn.OptimizerConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
         p.grad_weights[...] = g
-        nn.sgd_step(p, cfg)
+        nn.sgd_step([p], cfg)
         w1 = float(p.weights.reshape(()))
         assert w1 == pytest.approx(1.0 - 0.1 * g, rel=1e-6)
         p.grad_weights[...] = g
-        nn.sgd_step(p, cfg)
+        nn.sgd_step([p], cfg)
         assert float(p.weights.reshape(())) == pytest.approx(w1 - 0.1 * 1.9 * g, rel=1e-6)
 
     def test_config_validation(self):

@@ -229,7 +229,8 @@ def cmd_report(cfg: dict, args, out: Path, seed: int) -> list:
     for key, path in diff.items():
         if not isinstance(path, str):
             raise ConfigurationError(f"diff.{key} must be a report path, got {path!r}")
-    reports = [experiments.ExperimentReport.read_json(p) for p in paths]
+    diffed = [diff[k] for k in ("a", "b")] if diff else []
+    reports = [experiments.ExperimentReport.read_json(p) for p in paths + diffed]  # all checked before any write
     summary = {"schema": 1, "reports": []}
     for p, rep in zip(paths, reports):
         agg = rep.aggregates["map50"]
@@ -245,8 +246,11 @@ def cmd_report(cfg: dict, args, out: Path, seed: int) -> list:
                     f"{row['max']:.3f},{row['diff']:.3f}\n")
     if not diff:
         return ["summary.json", "summary.csv"]
-    rep_a, rep_b = (experiments.ExperimentReport.read_json(diff[k]) for k in ("a", "b"))
-    table = experiments.diff_report(rep_a, rep_b, rep_a.model_id, rep_b.model_id)
+    rep_a, rep_b = reports[-2:]
+    la, lb = rep_a.model_id, rep_b.model_id
+    if la == lb or {la, lb} & {"fg", "diff"}:  # the labels key each row's values
+        la, lb = f"a:{la}", f"b:{lb}"
+    table = experiments.diff_report(rep_a.rows[0].per_class_hf, rep_b.rows[0].per_class_hf, la, lb)
     write_json(out / "diff.json", table)
     (out / "diff.txt").write_text(experiments.render_diff_table(table) + "\n")
     return ["summary.json", "summary.csv", "diff.json", "diff.txt"]

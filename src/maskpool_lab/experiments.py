@@ -72,17 +72,7 @@ class ExperimentReport:
         return {"map50": {"mean": mean, "std": std, "min": lo, "max": hi, "diff": hi - lo}}
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "model_id": self.model_id,
-            "dataset_id": self.dataset_id,
-            "intervention": self.intervention,
-            "notes": self.notes,
-            "rows": [{"repetition": r.repetition, "map50": r.map50,
-                      "per_class_ap": r.per_class_ap, "per_class_hf": r.per_class_hf}
-                     for r in self.rows],
-            "aggregates": self.aggregates,
-        }
+        return {**asdict(self), "aggregates": self.aggregates}
 
     @classmethod
     def from_dict(cls, d: dict, source="report dict") -> "ExperimentReport":
@@ -99,6 +89,19 @@ class ExperimentReport:
             raise ConfigurationError(f"{source}: malformed report ({type(e).__name__}: {e})") from None
         if not rep.rows:
             raise ConfigurationError(f"{source}: report has no rows")
+        if not all(isinstance(v, str) for v in (rep.model_id, rep.dataset_id, rep.intervention)):
+            raise ConfigurationError(f"{source}: model_id, dataset_id and intervention must be strings")
+
+        def finite(v):  # a JSON number: not a bool, NaN or infinity
+            return isinstance(v, float) and bool(np.isfinite(v)) or type(v) is int
+        for i, r in enumerate(rep.rows):
+            ap, hf = r.per_class_ap, r.per_class_hf
+            if not (finite(r.map50) and isinstance(ap, dict) and isinstance(hf, dict)
+                    and all(v is None or finite(v) for v in ap.values())
+                    and all(finite(v) or isinstance(v, list) and len(v) == 3 and all(map(finite, v))
+                            for v in hf.values())):
+                raise ConfigurationError(f"{source}: row {i}: map50 must be a finite number, per_class_ap "
+                                         "an object of numbers or null, per_class_hf of numbers or triples")
         return rep
 
     def write_json(self, path) -> None:
@@ -118,12 +121,15 @@ class ExperimentReport:
             for r in self.rows:
                 def fmt(v):
                     return "" if v is None else f"{v:.6f}"
-                hf = r.per_class_hf or {}
                 w.writerow([self.model_id, self.dataset_id, self.intervention, r.repetition,
                             f"{r.map50:.6f}"]
                            + [fmt(r.per_class_ap.get(c)) for c in classes]
-                           + [fmt(hf[c][2] if isinstance(hf.get(c), (list, tuple)) else hf.get(c))
-                              for c in classes])
+                           + [fmt(_hf(r.per_class_hf.get(c))) for c in classes])
+
+
+def _hf(v):
+    """The hF of a per-class value, a (hP, hR, hF) triple or a bare hF; None stays None."""
+    return v if v is None else float(v[2] if isinstance(v, (tuple, list)) else v)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +161,14 @@ class EvalResult:
         return isinstance(other, EvalResult) and all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
-def evaluate_records(model, records, class_names, levels=None, batch_size: int = 16, *,
-                     settings=None, threads: int = 1):
-    """Run inference over records and score mAP50 + hierarchical F1, unperturbed with
-    ``levels`` (the records' per-stride mask stacks, ``detector.mask_levels``; by default
-    built from their own masks).  Given ``settings``, a list of ``(levels, bg_weight,
-    perturb_all_stages)``, scores each in the same pass over the batches and returns a
-    list with one EvalResult per setting.
+def evaluate_records(model, records, class_names, *, batch_size: int = 16, settings=None,
+                     threads: int = 1):
+    """Run inference over records and score mAP50 + hierarchical F1 under each of
+    ``settings``, a list of ``(levels, bg_weight, perturb_all_stages)``, in one pass over
+    the batches; returns a list with one EvalResult per setting.  ``levels`` are the
+    records' per-stride mask stacks (``detector.mask_levels``), or None for the records'
+    own masks at the strides the setting reads.  ``settings=None`` is
+    ``[(None, 1.0, False)]`` and returns its one EvalResult.
 
     Every setting's op list starts with the same Conv/Relu ops before its first mask
     reader, so a batch runs them once and ``threads`` settings at a time go on from there:
@@ -179,11 +186,13 @@ def evaluate_records(model, records, class_names, levels=None, batch_size: int =
         if first.setdefault(img, i) != i:
             raise ConfigurationError(f"duplicate image id {img}: records {first[img]} and {i}")
     one = settings is None
-    if one:
-        if levels is None:
-            levels = detector.mask_levels(cfg, [r.fg_mask for r in records])
-        settings = [(levels, 1.0, False)]
+    settings = [(None, 1.0, False)] if one else settings
     op_lists = [detector.build_ops(cfg, w, every) for _, w, every in settings]
+    # one pyramid of the records' own masks at every stride a None-levels setting reads
+    strides = set().union(*(detector.mask_strides(ops) for (lv, _, _), ops in zip(settings, op_lists)
+                            if lv is None))
+    own = maskpool.build_pyramid([r.fg_mask for r in records], strides) if strides else None
+    settings = [(own if lv is None else lv, w, every) for lv, w, every in settings]
     split = min(next((i for i, op in enumerate(ops) if op.mask_stride is not None), len(ops))
                 for ops in op_lists)
     no_rows = (np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros((0, 4)))
@@ -229,6 +238,12 @@ def _map_ordered(fn, items, threads: int):
 # interventions
 # ---------------------------------------------------------------------------
 
+def _report(model_id, dataset_id, intervention, labels, results, notes=None) -> ExperimentReport:
+    """One row per (label, EvalResult)."""
+    rows = [ReportRow(k, r.map50, r.per_class_ap, r.per_class_hf) for k, r in zip(labels, results)]
+    return ExperimentReport(model_id, dataset_id, intervention, rows, notes or {})
+
+
 def run_bg_activation_sweep(ckpt, dataset, sweep: SweepSpec | None = None,
                             perturb_all_stages: bool = False, threads: int = 1,
                             model_id: str = "model", dataset_id: str = "dataset") -> ExperimentReport:
@@ -237,34 +252,24 @@ def run_bg_activation_sweep(ckpt, dataset, sweep: SweepSpec | None = None,
     sweep = sweep or SweepSpec()
     model = detector.model_from_checkpoint(ckpt)
     records, class_names = load_records(dataset)
-    # every weight but 1 walks the same op list; w = 1 reads a subset of its levels
-    perturbed = next((w for w in sweep.weights if w != 1.0), 1.0)
-    levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records],
-                                  perturbed, perturb_all_stages)
     results = evaluate_records(model, records, class_names, threads=threads,
-                               settings=[(levels, w, perturb_all_stages) for w in sweep.weights])
-    report = ExperimentReport(model_id, dataset_id, "bg_activation_sweep")
-    report.rows = [ReportRow(w, r.map50, r.per_class_ap, r.per_class_hf)
-                   for w, r in zip(sweep.weights, results)]
-    return report
+                               settings=[(None, w, perturb_all_stages) for w in sweep.weights])
+    return _report(model_id, dataset_id, "bg_activation_sweep", sweep.weights, results)
 
 
 def _swap_eval(ckpt, dataset, intervention: str, keys, swap, threads: int,
                model_id: str, dataset_id: str) -> ExperimentReport:
     """One row per key: the records as ``swap(records, key)`` re-composites them, scored
-    with the originals' masks."""
+    with the originals' masks, whose levels every key shares."""
     model = detector.model_from_checkpoint(ckpt)
     records, class_names = load_records(dataset)
     levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records])
 
     def one(key):
-        r = evaluate_records(model, swap(records, key), class_names, levels=levels)
-        return ReportRow(key, r.map50, r.per_class_ap, r.per_class_hf)
+        return evaluate_records(model, swap(records, key), class_names, settings=[(levels, 1.0, False)])[0]
 
-    report = ExperimentReport(model_id, dataset_id, intervention,
-                              notes={"bg_fit": "aspect-preserving scale + center crop"})
-    report.rows = _map_ordered(one, keys, threads)
-    return report
+    return _report(model_id, dataset_id, intervention, keys, _map_ordered(one, keys, threads),
+                   {"bg_fit": "aspect-preserving scale + center crop"})
 
 
 def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 0, threads: int = 1,
@@ -301,47 +306,38 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
         raise ConfigurationError("boundary ablation applies to the mask pooling variant only")
     records, class_names = load_records(dataset)
     masks = [r.fg_mask for r in records]
-    settings = [(detector.mask_levels(model.cfg, masks), 1.0, False)]
+    settings = [(None, 1.0, False)]
     for f in factors:
         perturbed = [maskpool.morph_perturb(m, "dilate" if f > 1 else "erode", f) for m in masks]
         settings.append((detector.mask_levels(model.cfg, perturbed), 1.0, False))
     results = evaluate_records(model, records, class_names, settings=settings, threads=threads)
-    report = ExperimentReport(model_id, dataset_id, "boundary_ablation")
-    report.rows = [ReportRow(label, r.map50, r.per_class_ap, r.per_class_hf)
-                   for label, r in zip(["baseline", *factors], results)]
-    return report
+    return _report(model_id, dataset_id, "boundary_ablation", ["baseline", *factors], results)
 
 
 # ---------------------------------------------------------------------------
 # diff tables
 # ---------------------------------------------------------------------------
 
-def _per_class_hf(source) -> dict:
-    if isinstance(source, ExperimentReport):
-        if not source.rows:
-            return {}
-        return source.rows[0].per_class_hf or {}
-    return source
-
-
-def diff_report(report_a, report_b, label_a: str = "A", label_b: str = "B") -> dict:
-    """Per-class hierarchical-F1 difference table (fg, A, B, Diff).
+def diff_report(hf_a: dict, hf_b: dict, label_a: str = "A", label_b: str = "B") -> dict:
+    """Per-class hierarchical-F1 difference table (fg, A, B, Diff) of two per-class hF
+    maps, each value a (hP, hR, hF) triple or a bare hF.
 
     Missing classes carry None (rendered as dashes); also counts how many
-    classes improved out of the comparable pairs.
+    classes improved out of the comparable pairs.  The labels key a row's two
+    values, so they must differ from each other and from ``fg`` and ``diff``.
     """
-    hf_a, hf_b = _per_class_hf(report_a), _per_class_hf(report_b)
+    if label_a == label_b or {label_a, label_b} & {"fg", "diff"}:
+        raise ConfigurationError(f"diff labels must be distinct and neither 'fg' nor 'diff', "
+                                 f"got {label_a!r} and {label_b!r}")
     if hf_a and hf_b and not set(hf_a) & set(hf_b):
         warnings.warn("diff_report: class sets are disjoint, rendering dashes only")
     rows = []
-    improved = pairs = 0
-    for cls, (a, b, diff) in metrics.f1_diff(hf_a, hf_b).items():
-        rows.append({"fg": cls, label_a: a, label_b: b, "diff": diff})
-        if diff is not None:
-            pairs += 1
-            improved += diff > 0
+    for cls in sorted(set(hf_a) | set(hf_b), key=str):
+        a, b = _hf(hf_a.get(cls)), _hf(hf_b.get(cls))
+        rows.append({"fg": cls, label_a: a, label_b: b, "diff": None if a is None or b is None else b - a})
+    diffs = [r["diff"] for r in rows if r["diff"] is not None]
     return {"schema": 1, "label_a": label_a, "label_b": label_b,
-            "rows": rows, "improved": improved, "pairs": pairs}
+            "rows": rows, "improved": sum(d > 0 for d in diffs), "pairs": len(diffs)}
 
 
 def render_diff_table(diff: dict) -> str:
@@ -399,8 +395,8 @@ def run_study(spec: StudySpec, out) -> tuple:
     CSV report per (intervention, variant, seed) and summary.json under ``out``.
     The in-domain scores are the sweep's w = 1 row.  Returns the summary and the
     wall seconds of every runner call, keyed like the report files
-    (``sweep-mask-seed1``, ...); the seconds enter no file, so the files stay
-    deterministic."""
+    (``sweep-mask-seed1``, ...) and logged as each runner ends; they enter no file,
+    so the files stay deterministic."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     bias = scenegen.BiasSpec.concentrated(3, 4, spec.bias)
@@ -413,14 +409,14 @@ def run_study(spec: StudySpec, out) -> tuple:
     bg_pool = scenegen.generate_bg_pool(spec.bg_pool, spec.image_size, seed=BG_POOL_SEED)
     seconds = {}
 
-    def run(key, fn, *args, **kwargs):  # times fn under key; a report goes to key.json/.csv
+    def run(key, fn, *args, **kwargs):  # times runner fn under key; its report goes to key.json/.csv
         t = time.perf_counter()
-        result = fn(*args, **kwargs)
+        report = fn(*args, **kwargs)
         seconds[key] = time.perf_counter() - t
-        if isinstance(result, ExperimentReport):
-            result.write_json(out / f"{key}.json")
-            result.write_csv(out / f"{key}.csv")
-        return result
+        log.info("%s: %.1f s", key, seconds[key])
+        report.write_json(out / f"{key}.json")
+        report.write_csv(out / f"{key}.csv")
+        return report
 
     config = {**asdict(spec), "seeds": list(spec.seeds), "out": str(out)}  # as json.load reads it
     summary = {"schema": 1, "seeds": {}, "config": config}

@@ -320,22 +320,3 @@ def _hierarchical(gt_of_det, cls, gt_cls, class_names, hierarchy):
         out[names[r]] = (hp, hr, hf)
     return out
 
-
-def f1_diff(report_a: dict, report_b: dict):
-    """Per-class hF difference table: {class: (hF_a, hF_b, diff)}.
-
-    Accepts per-class triples or bare hF floats.  Classes missing from one
-    side carry None entries (rendered as dashes downstream).
-    """
-    def hf(report, cls):
-        if cls not in report:
-            return None
-        v = report[cls]
-        return float(v[2]) if isinstance(v, (tuple, list)) else float(v)
-
-    rows = {}
-    for cls in sorted(set(report_a) | set(report_b), key=str):
-        a, b = hf(report_a, cls), hf(report_b, cls)
-        diff = (b - a) if (a is not None and b is not None) else None
-        rows[cls] = (a, b, diff)
-    return rows

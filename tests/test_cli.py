@@ -114,6 +114,24 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
 
+    @pytest.mark.parametrize("where", ["reports", "diff"])
+    @pytest.mark.parametrize("bad", [{"map50": "high"}, {"per_class_hf": [0.5, 0.5, 0.5]}],
+                             ids=["map50_string", "hf_list"])
+    def test_malformed_report_row_exit_1_before_any_file(self, tmp_path, capsys, where, bad):
+        row = {"repetition": 0, "map50": 1.0, "per_class_ap": {"circle": 50.0, "square": None},
+               "per_class_hf": {"circle": [1.0, 0.5, 0.6], "square": 0.0}}
+        doc = {"schema": 1, "model_id": "m", "dataset_id": "d", "intervention": "sweep", "rows": [row]}
+        good, broken = tmp_path / "good.json", tmp_path / "broken.json"
+        good.write_text(json.dumps(doc))
+        broken.write_text(json.dumps(dict(doc, rows=[row, {**row, **bad}])))
+        cfg = {"reports": [str(good), str(broken)]} if where == "reports" else {
+            "reports": [str(good)], "diff": {"a": str(good), "b": str(broken)}}
+        out = tmp_path / "out"
+        assert cli.main(["report", "--config", write_config(tmp_path / "r.json", **cfg, out=str(out))]) == 1
+        err = capsys.readouterr().err
+        assert f"{broken}: row 1: map50 must be a finite number" in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_failure_exit_2(self, tmp_path):
         # a valid config whose training diverges fails at run time
@@ -602,6 +620,34 @@ class TestPipeline:
         assert (rep_out / "diff.txt").exists()
         diff = json.loads((rep_out / "diff.json").read_text())
         assert diff["schema"] == 1 and "rows" in diff
+
+    def test_report_diff_of_checkpoints_with_one_name_keeps_both_columns(self, pipeline, tmp_path):
+        """``train`` always writes checkpoint.mplb, so both reports carry the model id
+        ``checkpoint``; the diff labels them a:checkpoint and b:checkpoint."""
+        root, data, ckpts = pipeline
+        sweeps = {}
+        for variant in ("max", "mask"):
+            cfg = write_config(tmp_path / f"p-{variant}.json", dataset=str(data),
+                               checkpoint=str(ckpts[variant]), weights=[0.5, 1.0],
+                               out=str(tmp_path / variant))
+            assert cli.main(["perturb", "--config", cfg]) == 0
+            sweeps[variant] = tmp_path / variant / "sweep.json"
+        reps = {v: json.loads(p.read_text()) for v, p in sweeps.items()}
+        assert reps["max"]["model_id"] == reps["mask"]["model_id"] == "checkpoint"
+        out = tmp_path / "rep"
+        cfg = write_config(tmp_path / "r.json", reports=[str(sweeps["max"])],
+                           diff={"a": str(sweeps["max"]), "b": str(sweeps["mask"])}, out=str(out))
+        assert cli.main(["report", "--config", cfg]) == 0
+        diff = json.loads((out / "diff.json").read_text())
+        assert (diff["label_a"], diff["label_b"]) == ("a:checkpoint", "b:checkpoint")
+        hf = {v: reps[v]["rows"][0]["per_class_hf"] for v in reps}
+        assert [r["fg"] for r in diff["rows"]] == sorted(set(hf["max"]) | set(hf["mask"]))
+        for r in diff["rows"]:
+            a, b = (hf[v][r["fg"]][2] if r["fg"] in hf[v] else None for v in ("max", "mask"))
+            assert (r["a:checkpoint"], r["b:checkpoint"]) == (a, b)
+            assert r["diff"] == (None if a is None or b is None else b - a)
+        assert any(r["a:checkpoint"] != r["b:checkpoint"] for r in diff["rows"])
+        assert "a:checkpoint" in (out / "diff.txt").read_text().splitlines()[0]
 
 
 class TestEntryPoint:

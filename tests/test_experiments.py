@@ -94,6 +94,28 @@ class TestSettingsInOnePass:
             assert got == want
             assert kept(got) > 0
 
+    @pytest.mark.parametrize("variant", ("max", "mask"))
+    def test_none_levels_are_the_records_own_masks(self, world, variant):
+        """A setting whose levels are None reads the records' own masks at the strides
+        it reads: the same results as that setting given ``detector.mask_levels``'s."""
+        records, names, ckpt_max, ckpt_mask = world
+        model = detector.model_from_checkpoint(ckpt_max if variant == "max" else ckpt_mask)
+        masks = [r.fg_mask for r in records]
+        grid = ((1.0, False), (0.5, False), (2.0, True))
+        got = experiments.evaluate_records(model, records, names, batch_size=4,
+                                           settings=[(None, w, every) for w, every in grid])
+        want = experiments.evaluate_records(model, records, names, batch_size=4, settings=[
+            (detector.mask_levels(model.cfg, masks, w, every), w, every) for w, every in grid])
+        assert got == want
+        assert all(kept(r) > 0 for r in got)
+        assert experiments.evaluate_records(model, records, names, batch_size=4) == got[0]
+
+    def test_levels_are_not_a_positional_parameter(self, world):
+        records, names, ckpt_max, _ = world
+        model = detector.model_from_checkpoint(ckpt_max)
+        with pytest.raises(TypeError):
+            experiments.evaluate_records(model, records, names, None)
+
     def test_more_threads_than_cores_same_results(self, world):
         """Threads share each batch's activation and write their own setting's
         detections; frequent thread switches must not move a result."""
@@ -405,12 +427,32 @@ class TestDiffReport:
         with pytest.warns(UserWarning, match="disjoint"):
             experiments.diff_report({"a": 0.1}, {"b": 0.2})
 
+    def test_equal_triples_zero_diff(self):
+        a = {"car": (1.0, 1.0, 0.4)}
+        assert experiments.diff_report(a, a)["rows"] == [{"fg": "car", "A": 0.4, "B": 0.4, "diff": 0.0}]
+
+    def test_class_only_in_b_has_no_a_and_no_diff(self):
+        rows = experiments.diff_report({"car": 0.4}, {"car": 0.5, "truck": 0.7})["rows"]
+        assert rows[1] == {"fg": "truck", "A": None, "B": 0.7, "diff": None}
+
+    def test_bare_floats_hand_diff(self):
+        [row] = experiments.diff_report({"car": 0.4}, {"car": 0.7})["rows"]
+        assert row["diff"] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("labels", [("checkpoint", "checkpoint"), ("fg", "b"), ("a", "diff")])
+    def test_labels_that_would_share_a_key_are_rejected(self, labels):
+        with pytest.raises(ConfigurationError, match="diff labels must be distinct"):
+            experiments.diff_report({"circle": (1, 1, 0.4)}, {"circle": (1, 1, 0.7)}, *labels)
+
 
 class TestStudy:
-    def test_returns_written_summary_and_runner_seconds(self, tmp_path):
+    def test_returns_written_summary_and_runner_seconds(self, tmp_path, caplog):
         spec = experiments.StudySpec(seeds=(0,), train_images=8, val_images=4, image_size=64,
                                      iterations=4, bg_pool=2, repetitions=2)
-        summary, seconds = experiments.run_study(spec, tmp_path / "study")
+        with caplog.at_level("INFO", logger="maskpool_lab.experiments"):
+            summary, seconds = experiments.run_study(spec, tmp_path / "study")
+        logged = [m for m in caplog.messages if m.endswith(" s")]
+        assert logged == [f"{key}: {t:.1f} s" for key, t in seconds.items()]
         assert summary == json.loads((tmp_path / "study" / "summary.json").read_text())
         assert summary["config"] == {"seeds": [0], "train_images": 8, "val_images": 4,
                                      "image_size": 64, "iterations": 4, "batch_size": 8,

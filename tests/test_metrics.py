@@ -244,18 +244,3 @@ class TestHierarchicalF1:
                         for _ in range(int(rng.integers(0, 4)))]
         for hp, hr, hf in metrics.hierarchical_f1(dets, gts, h, class_names=["car", "truck"]).values():
             assert 0.0 <= hp <= 1.0 and 0.0 <= hr <= 1.0 and 0.0 <= hf <= 1.0
-
-
-class TestF1Diff:
-    def test_equal_reports_zero_diff(self):
-        a = {"car": (1.0, 1.0, 0.4)}
-        out = metrics.f1_diff(a, a)
-        assert out["car"] == (0.4, 0.4, 0.0)
-
-    def test_missing_class_dashes(self):
-        out = metrics.f1_diff({"car": 0.4}, {"car": 0.5, "truck": 0.7})
-        assert out["truck"] == (None, 0.7, None)
-
-    def test_hand_diff(self):
-        out = metrics.f1_diff({"car": 0.4}, {"car": 0.7})
-        assert out["car"][2] == pytest.approx(0.3)

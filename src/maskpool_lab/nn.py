@@ -10,9 +10,12 @@ Conventions:
   - pooling ops exclude padded positions from counts, averages and maxima;
   - reductions (means, losses) accumulate in float64 before casting back.
 
-Convolution writes im2col columns straight from the unpadded activation for
-one matmul (a 1x1 stride-1 conv uses the input itself); a training forward
-hands them to the backward (``with_cols``).  Pooling reads its input as
+Convolution writes im2col columns straight from the unpadded activation (a
+1x1 stride-1 conv uses the input itself) and multiplies them one block of
+samples (COL_BLOCK_BYTES) at a time, while the block is still in cache; an
+inference forward reuses one block buffer, a training forward fills the full
+columns it hands to the backward (``with_cols``).  The GEMMs are per sample
+either way, so blocking changes no bit.  Pooling reads its input as
 stride-phase planes (``_Phases``), where each window pixel is one contiguous
 run; the avg and mask pooling backwards and every conv's input-gradient fold
 add those runs into gradient planes.  Every sum runs in row-major window
@@ -211,19 +214,28 @@ def window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Arr
 # convolution
 # ---------------------------------------------------------------------------
 
-def _conv_cols(x: Array, kernel: int, stride: int, padding: int, oh: int, ow: int) -> Array:
-    """(n, c*kernel*kernel, oh*ow) im2col columns of the unpadded input: each window
-    pixel's slab copies its in-image part and zeroes the windows where it lies in the padding."""
+# im2col bytes per forward block, at least one sample: a 16-image batch's columns
+# (7.1 MB at the stem, 9.4 MB at stage3) overflow a 2 MiB L2; 1 MiB timed best of 4, 2, 1
+COL_BLOCK_BYTES = 1 << 20
+
+
+def _conv_cols(x: Array, kernel: int, stride: int, padding: int, oh: int, ow: int,
+               dest: Array | None = None) -> Array:
+    """(n, c*kernel*kernel, oh*ow) im2col columns of the unpadded input, written into
+    ``dest`` (a block of the forward's buffer) when given: each window pixel's slab
+    copies its in-image part and zeroes the windows where it lies in the padding, so
+    every entry is written and a reused buffer keeps nothing of an earlier block."""
     n, c, h, w = x.shape
     if kernel == 1 and stride == 1 and padding == 0:
         return x.reshape(n, c, h * w)
-    cols = np.empty((n, c, kernel * kernel, oh, ow), dtype=x.dtype)
+    cols = np.empty((n, c * kernel * kernel, oh * ow), dtype=x.dtype) if dest is None else dest
+    slabs = cols.reshape(n, c, kernel * kernel, oh, ow)
     for k, (out, inp) in enumerate(_taps(h, w, kernel, stride, padding, oh, ow)):
-        slab, rows, cs = cols[:, :, k], out[1], out[2]
+        slab, rows, cs = slabs[:, :, k], out[1], out[2]
         slab[..., :rows.start, :] = slab[..., rows.stop:, :] = 0
         slab[..., rows, :cs.start] = slab[..., rows, cs.stop:] = 0
         slab[out] = x[inp]
-    return cols.reshape(n, c * kernel * kernel, oh * ow)
+    return cols
 
 
 def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0,
@@ -241,9 +253,19 @@ def conv2d_forward(x: Array, p: LayerParams, stride: int = 1, padding: int = 0,
         raise ConfigurationError(f"conv expects {ic} input channels, got {c}")
     _check_geometry(h, w, kh, stride, padding, pooling=False)
     oh, ow = out_size(h, kh, stride, padding), out_size(w, kw, stride, padding)
-    cols = _conv_cols(x, kh, stride, padding, oh, ow)
     wmat = p.weights.reshape(oc, ic * kh * kw).astype(x.dtype, copy=False)
-    y = np.matmul(wmat, cols).reshape(n, oc, oh, ow)
+    y = np.empty((n, oc, oh * ow), dtype=x.dtype)
+    if kh == 1 and stride == 1 and padding == 0:
+        cols = _conv_cols(x, kh, stride, padding, oh, ow)
+        np.matmul(wmat, cols, out=y)
+    else:
+        step = max(1, COL_BLOCK_BYTES // (ic * kh * kw * oh * ow * x.itemsize))
+        cols = np.empty((n if with_cols else min(step, n), ic * kh * kw, oh * ow), dtype=x.dtype)
+        for a in range(0, n, step):
+            block = cols[a:a + step] if with_cols else cols[:min(step, n - a)]
+            _conv_cols(x[a:a + step], kh, stride, padding, oh, ow, dest=block)
+            np.matmul(wmat, block, out=y[a:a + step])
+    y = y.reshape(n, oc, oh, ow)
     y += p.bias.reshape(1, oc, 1, 1).astype(x.dtype, copy=False)
     return (y, cols) if with_cols else y
 

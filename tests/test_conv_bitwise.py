@@ -81,14 +81,23 @@ def layers(rng, oc, ic, k):
     return out
 
 
+def dirty_heap(nbytes):
+    """Leave ``nbytes`` of NaN in freed memory for the next allocations to reuse,
+    so an entry a forward leaves unwritten reads NaN rather than a fresh page's zero."""
+    np.full(nbytes // 8, np.nan)
+
+
 def check_case(x, g, params, stride, padding, input_grad=True):
     """Forward and backward of the library, with the forward's columns and
     without, against the reference, bit for bit."""
     old, saved, rebuilt = params
     y_ref = ref.conv2d_forward(x, old, stride, padding)
     gx_ref = ref.conv2d_backward(x, old, g, stride, padding, input_grad=input_grad)
+    cols_bytes = y_ref.nbytes // len(old.weights) * old.weights[0].size
+    dirty_heap(2 * cols_bytes)  # room for the columns and the output
     y, cols = nn.conv2d_forward(x, saved, stride, padding, with_cols=True)
     assert_bitwise(y, y_ref)
+    dirty_heap(2 * cols_bytes)
     assert_bitwise(nn.conv2d_forward(x, rebuilt, stride, padding), y_ref)
     for p, c in ((saved, cols), (rebuilt, None)):
         gx = nn.conv2d_backward(x, p, g, stride, padding, input_grad=input_grad, cols=c)
@@ -212,6 +221,29 @@ def test_detector_geometries(placement, dtype):
         x = np.maximum(rng.standard_normal((2, ic, size, size)), 0).astype(dtype)
         osize = nn.out_size(size, k, stride, padding)
         g = rng.standard_normal((2, oc, osize, osize)).astype(dtype)
+        check_case(x, g, params, stride, padding, input_grad=name != "stem")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("placement", detector.POOL_PLACEMENTS)
+def test_detector_geometries_across_column_blocks(placement, dtype):
+    # The forward builds and multiplies its im2col columns per block of samples
+    # (nn.COL_BLOCK_BYTES).  17 samples cross a block boundary at every 3x3 site
+    # and end in a partial block wherever 17 is not a multiple of the block (in the
+    # default placement in float32: blocks of 2, 7 and 3, and 17 blocks of 1 at
+    # stage3).  check_case leaves NaN in freed memory, so a column entry that a
+    # block leaves unwritten shows, the padding zeros of a reused buffer included.
+    model, geometries = detector_geometries(placement)
+    rng = np.random.default_rng(8)
+    n, itemsize = 17, np.dtype(dtype).itemsize
+    for name, ic, size, stride, padding in geometries:
+        oc, _, k, _ = model.layers[name].weights.shape
+        osize = nn.out_size(size, k, stride, padding)
+        if k > 1:
+            assert nn.COL_BLOCK_BYTES // (ic * k * k * osize * osize * itemsize) < n
+        params = layers(rng, oc, ic, k)
+        x = np.maximum(rng.standard_normal((n, ic, size, size)), 0).astype(dtype)
+        g = rng.standard_normal((n, oc, osize, osize)).astype(dtype)
         check_case(x, g, params, stride, padding, input_grad=name != "stem")
 
 

@@ -110,6 +110,20 @@ class TestSettingsInOnePass:
         assert all(kept(r) > 0 for r in got)
         assert experiments.evaluate_records(model, records, names, batch_size=4) == got[0]
 
+    @pytest.mark.parametrize("variant", ("max", "mask"))
+    def test_batch_size_moves_no_result(self, world, variant):
+        """Every op treats samples independently (the conv forward multiplies its
+        columns in blocks of samples), so no batch size moves a result."""
+        records, names, ckpt_max, ckpt_mask = world
+        model = detector.model_from_checkpoint(ckpt_max if variant == "max" else ckpt_mask)
+        settings = [(None, w, every) for w, every in ((1.0, False), (0.5, False), (2.0, True))]
+        want = experiments.evaluate_records(model, records, names, batch_size=len(records),
+                                            settings=settings)
+        assert all(kept(r) > 0 for r in want)
+        for batch_size in (1, 5, 16):
+            assert experiments.evaluate_records(model, records, names, batch_size=batch_size,
+                                                settings=settings) == want
+
     def test_levels_are_not_a_positional_parameter(self, world):
         records, names, ckpt_max, _ = world
         model = detector.model_from_checkpoint(ckpt_max)

@@ -25,13 +25,12 @@ if os.name == "posix" and not ({"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD
         _mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: keep up to 256 MiB of freed heap
 
 from . import detector, experiments, maskpool, metrics, nn, scenegen  # noqa: E402
-from .errors import ConfigurationError, NumericError, ParseError, TrainingDiverged
+from .errors import ConfigurationError, ParseError, TrainingDiverged
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "NumericError",
     "ParseError",
     "TrainingDiverged",
     "detector",

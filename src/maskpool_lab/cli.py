@@ -176,9 +176,7 @@ def cmd_swap_bg(cfg: dict, args, out: Path, seed: int) -> list:
     if mode == "random":
         swapped = [scenegen.composite_random_bg(r, pool, seed) for r in records]
     elif mode == "fixed":
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
-        bg = pool[int(rng.integers(len(pool)))]
-        swapped = scenegen.composite_fixed_bg(records, bg)
+        swapped = scenegen.composite_fixed_bg(records, pool[experiments.fixed_bg_draw(len(pool), 1, seed)[0]])
     else:
         raise ConfigurationError(f"swap-bg mode must be random|fixed, got {mode!r}")
     scenegen.save_dataset(swapped, class_names, out, seed=seed, bias=None)
@@ -250,7 +248,7 @@ def cmd_report(cfg: dict, args, out: Path, seed: int) -> list:
     la, lb = rep_a.model_id, rep_b.model_id
     if la == lb or {la, lb} & {"fg", "diff"}:  # the labels key each row's values
         la, lb = f"a:{la}", f"b:{lb}"
-    table = experiments.diff_report(rep_a.rows[0].per_class_hf, rep_b.rows[0].per_class_hf, la, lb)
+    table = experiments.diff_report(rep_a.in_domain.per_class_hf, rep_b.in_domain.per_class_hf, la, lb)
     write_json(out / "diff.json", table)
     (out / "diff.txt").write_text(experiments.render_diff_table(table) + "\n")
     return ["summary.json", "summary.csv", "diff.json", "diff.txt"]

@@ -3,8 +3,9 @@
 Fixed topology: stem conv (stride 2) -> pooling slot (3x3, stride 2) ->
 three conv-relu stages (exactly one of them stride 2) -> 1x1 conv head.
 ``build_ops`` is its single definition: an ordered list of small op objects
-(Conv, Relu, Pool, BgScale, BoxScale), each owning its forward, backward
-and saved tensors, which training, inference and the mask strides all walk.
+(Conv, Relu, Pool, BgScale, BoxScale), each owning its forward, backward,
+saved tensors and settings (a BgScale its weight), which training and
+inference walk and from which ``mask_levels`` reads the mask strides.
 The head emits, per grid cell: an objectness logit, class logits and four
 box distances (left, top, right, bottom) in pixels from the cell center.
 The pooling slot is max, avg or mask pooling; it never carries parameters,
@@ -172,11 +173,10 @@ class Pass:
     ops: list
     model: Model
     levels: dict | None = None  # feature stride -> (n, h, w) mask batch
-    bg_weight: float = 1.0
     keep: bool = False          # each op keeps its input for the backward
 
     def __post_init__(self):
-        missing = sorted(mask_strides(self.ops) - set(self.levels or ()))
+        missing = sorted({op.mask_stride for op in self.ops} - {None} - set(self.levels or ()))
         if missing:
             raise ConfigurationError(f"masks required: the network reads mask strides {missing}")
 
@@ -260,12 +260,13 @@ class Pool(Op):
 
 @dataclass
 class BgScale(Op):
-    """Scales background activations by ``bg_weight``; inference only, so no backward."""
+    """Scales background activations by ``weight``; inference only, so no backward."""
 
+    weight: float  # first: ``Op.mask_stride`` gives the mask_stride field a default
     mask_stride: int
 
     def forward(self, run: Pass, x):
-        return maskpool.bg_scale(x, run.levels[self.mask_stride], run.bg_weight)
+        return maskpool.bg_scale(x, run.levels[self.mask_stride], self.weight)
 
 
 class BoxScale(Op):
@@ -291,28 +292,23 @@ def build_ops(cfg: ModelConfig, bg_weight: float = 1.0, perturb_all_stages: bool
     for i, name in enumerate(("stem", "stage1", "stage2", "stage3")):
         if i == convs_before_pool:
             if bg_weight != 1.0 and not perturb_all_stages:
-                ops.append(BgScale(stride))
+                ops.append(BgScale(bg_weight, stride))
             ops.append(Pool(cfg.pooling_variant, stride if cfg.pooling_variant == "mask" else None))
             stride *= 2
             if every:
-                ops.append(BgScale(stride))
+                ops.append(BgScale(bg_weight, stride))
         step = 2 if i in (0, convs_before_pool) else 1
         stride *= step
         ops += [Conv(name, step, 1), Relu()]
         if every:
-            ops.append(BgScale(stride))
+            ops.append(BgScale(bg_weight, stride))
     return ops + [Conv("head", 1, 0), BoxScale()]
 
 
-def mask_strides(ops) -> set:
-    return {op.mask_stride for op in ops} - {None}
-
-
-def mask_levels(cfg: ModelConfig, masks, bg_weight: float = 1.0,
-                perturb_all_stages: bool = False) -> dict | None:
-    """The per-stride mask stacks {stride: (n, h', w')} of the (h, w) ``masks`` at
-    the strides the network reads under this perturbation; None when it reads none."""
-    strides = mask_strides(build_ops(cfg, bg_weight, perturb_all_stages))
+def mask_levels(masks, *op_lists) -> dict | None:
+    """The per-stride mask stacks {stride: (n, h', w')} of the (h, w) ``masks`` at the
+    union of the strides the ``build_ops`` lists ``op_lists`` read; None when they read none."""
+    strides = {op.mask_stride for ops in op_lists for op in ops} - {None}
     return maskpool.build_pyramid(masks, strides) if strides else None
 
 
@@ -320,8 +316,7 @@ def forward(model: Model, image_batch: np.ndarray, levels=None,
             bg_weight: float = 1.0, perturb_all_stages: bool = False) -> DetHeadOutput:
     """Inference forward pass.  ``levels`` are the batch's per-stride mask stacks
     (see ``mask_levels``), required iff the variant is 'mask' or bg_weight != 1."""
-    ops = build_ops(model.cfg, bg_weight, perturb_all_stages)
-    raw = Pass(ops, model, levels, bg_weight).forward(image_batch)
+    raw = Pass(build_ops(model.cfg, bg_weight, perturb_all_stages), model, levels).forward(image_batch)
     return DetHeadOutput.from_raw(raw, model.cfg.num_classes)
 
 
@@ -532,7 +527,7 @@ def train(dataset, model_cfg: ModelConfig, opt_cfg: nn.OptimizerConfig,
     if not records:
         raise ConfigurationError("training dataset is empty")
     check_images(model_cfg, records)
-    levels = mask_levels(model_cfg, [r.fg_mask for r in records])
+    levels = mask_levels([r.fg_mask for r in records], build_ops(model_cfg))
 
     model = build_model(model_cfg, seed)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))

@@ -19,16 +19,11 @@ class ParseError(ValueError):
         self.offset = int(offset)
 
 
-class NumericError(ArithmeticError):
-    """NaN or Inf appeared where only finite values are allowed."""
-
-
-class TrainingDiverged(NumericError):
+class TrainingDiverged(ArithmeticError):
     """Loss became non-finite during training."""
 
-    def __init__(self, iteration, layer, message=""):
-        detail = f" ({message})" if message else ""
-        super().__init__(f"non-finite loss at iteration {iteration}, first bad layer: {layer}{detail}")
+    def __init__(self, iteration, layer):
+        super().__init__(f"non-finite loss at iteration {iteration}, first bad layer: {layer}")
         self.iteration = iteration
         self.layer = layer
 

@@ -71,6 +71,13 @@ class ExperimentReport:
         lo, hi = float(min(vals)), float(max(vals))
         return {"map50": {"mean": mean, "std": std, "min": lo, "max": hi, "diff": hi - lo}}
 
+    @property
+    def in_domain(self) -> ReportRow:
+        """The unperturbed row, chosen by intervention (a random_bg repetition 1 equals 1.0 too): a
+        sweep's w = 1 row or an ablation's baseline row; else, or in a sweep without w = 1, row 0."""
+        label = {"bg_activation_sweep": 1.0, "boundary_ablation": "baseline"}.get(self.intervention)
+        return next((r for r in self.rows if label is not None and r.repetition == label), self.rows[0])
+
     def to_dict(self) -> dict:
         return {**asdict(self), "aggregates": self.aggregates}
 
@@ -187,25 +194,23 @@ def evaluate_records(model, records, class_names, *, batch_size: int = 16, setti
             raise ConfigurationError(f"duplicate image id {img}: records {first[img]} and {i}")
     one = settings is None
     settings = [(None, 1.0, False)] if one else settings
-    op_lists = [detector.build_ops(cfg, w, every) for _, w, every in settings]
+    settings = [(lv, detector.build_ops(cfg, w, every)) for lv, w, every in settings]
     # one pyramid of the records' own masks at every stride a None-levels setting reads
-    strides = set().union(*(detector.mask_strides(ops) for (lv, _, _), ops in zip(settings, op_lists)
-                            if lv is None))
-    own = maskpool.build_pyramid([r.fg_mask for r in records], strides) if strides else None
-    settings = [(own if lv is None else lv, w, every) for lv, w, every in settings]
+    own = detector.mask_levels([r.fg_mask for r in records], *(ops for lv, ops in settings if lv is None))
+    settings = [(own if lv is None else lv, ops) for lv, ops in settings]
     split = min(next((i for i, op in enumerate(ops) if op.mask_stride is not None), len(ops))
-                for ops in op_lists)
+                for _, ops in settings)
     no_rows = (np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros((0, 4)))
     batches = [[no_rows] for _ in settings]  # per setting: ``detector.kept_rows`` of each batch
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         x = detector.images_to_tensor(np.stack([r.image for r in chunk]))
-        x = detector.Pass(op_lists[0][:split], model).forward(x)
+        x = detector.Pass(settings[0][1][:split], model).forward(x)
 
         def finish(k):
-            lv, w, _ = settings[k]
+            lv, ops = settings[k]
             rows = lv and {s: m[start:start + batch_size] for s, m in lv.items()}
-            raw = detector.Pass(op_lists[k][split:], model, rows, w).forward(x)
+            raw = detector.Pass(ops[split:], model, rows).forward(x)
             batches[k].append(detector.kept_rows(detector.DetHeadOutput.from_raw(raw, cfg.num_classes), cfg))
 
         _map_ordered(finish, range(len(settings)), threads)
@@ -263,7 +268,7 @@ def _swap_eval(ckpt, dataset, intervention: str, keys, swap, threads: int,
     with the originals' masks, whose levels every key shares."""
     model = detector.model_from_checkpoint(ckpt)
     records, class_names = load_records(dataset)
-    levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records])
+    levels = detector.mask_levels([r.fg_mask for r in records], detector.build_ops(model.cfg))
 
     def one(key):
         return evaluate_records(model, swap(records, key), class_names, settings=[(levels, 1.0, False)])[0]
@@ -284,16 +289,21 @@ def run_random_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int =
         threads, model_id, dataset_id)
 
 
+def fixed_bg_draw(pool_size: int, count: int, seed: int) -> list:
+    """``count`` distinct pool indices, drawn for ``run_fixed_bg_eval`` and ``swap-bg``'s fixed mode."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 11)))
+    return [int(i) for i in rng.choice(pool_size, size=count, replace=False)]
+
+
 def run_fixed_bg_eval(ckpt, dataset, bg_pool, repetitions: int = 5, seed: int = 0, threads: int = 1,
                       model_id: str = "model", dataset_id: str = "dataset") -> ExperimentReport:
     """One shared background per repetition, sampled from the pool without replacement."""
     if not 1 <= repetitions <= len(bg_pool):
         raise ConfigurationError(f"repetitions must be between 1 and the pool size, got "
                                  f"{repetitions} repetitions for {len(bg_pool)} backgrounds")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 11)))
-    chosen = [int(i) for i in rng.choice(len(bg_pool), size=repetitions, replace=False)]
-    return _swap_eval(ckpt, dataset, "fixed_bg", chosen, lambda records, i: scenegen.composite_fixed_bg(
-        records, bg_pool[i]), threads, model_id, dataset_id)
+    return _swap_eval(ckpt, dataset, "fixed_bg", fixed_bg_draw(len(bg_pool), repetitions, seed),
+                      lambda records, i: scenegen.composite_fixed_bg(records, bg_pool[i]),
+                      threads, model_id, dataset_id)
 
 
 def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads: int = 1,
@@ -305,11 +315,11 @@ def run_boundary_ablation(ckpt, dataset, factors=DEFAULT_MORPH_FACTORS, threads:
     if model.cfg.pooling_variant != "mask":
         raise ConfigurationError("boundary ablation applies to the mask pooling variant only")
     records, class_names = load_records(dataset)
-    masks = [r.fg_mask for r in records]
+    masks, ops = [r.fg_mask for r in records], detector.build_ops(model.cfg)
     settings = [(None, 1.0, False)]
     for f in factors:
         perturbed = [maskpool.morph_perturb(m, "dilate" if f > 1 else "erode", f) for m in masks]
-        settings.append((detector.mask_levels(model.cfg, perturbed), 1.0, False))
+        settings.append((detector.mask_levels(perturbed, ops), 1.0, False))
     results = evaluate_records(model, records, class_names, settings=settings, threads=threads)
     return _report(model_id, dataset_id, "boundary_ablation", ["baseline", *factors], results)
 
@@ -377,8 +387,9 @@ class StudySpec:
 
     def __post_init__(self):
         # the bounds scenegen, detector.train and the runners apply, checked before any data is made
-        if not check_numbers(self.seeds, "seeds", integer=True, minimum=0):
-            raise ConfigurationError("seeds must list at least one seed")
+        seeds = check_numbers(self.seeds, "seeds", integer=True, minimum=0)
+        if not seeds or len(set(seeds)) < len(seeds):  # a repeated seed would overwrite its own files
+            raise ConfigurationError(f"seeds must list at least one seed, none twice, got {self.seeds!r}")
         for key, minimum in (("train_images", 1), ("val_images", 1), ("image_size", 1), ("iterations", 0),
                              ("batch_size", 1), ("bg_pool", 1), ("repetitions", 1)):
             check_number(getattr(self, key), key, integer=True, minimum=minimum)
@@ -435,8 +446,7 @@ def run_study(spec: StudySpec, out) -> tuple:
             rb = run(f"random_bg-{model_id}", run_random_bg_eval, ckpt, val_records, bg_pool,
                      repetitions=spec.repetitions, seed=seed, **ids).aggregates["map50"]
             sweep = run(f"sweep-{model_id}", run_bg_activation_sweep, ckpt, val_records, **ids)
-            # w = 1 scales nothing: the in-domain evaluation, bit for bit
-            base = next(r for r in sweep.rows if r.repetition == 1.0)
+            base = sweep.in_domain  # w = 1 scales nothing: the in-domain evaluation, bit for bit
             row[variant] = {"in_domain": base.map50, "random_bg_mean": rb["mean"],
                             "random_bg_std": rb["std"], "drop": base.map50 - rb["mean"],
                             "sweep_diff": sweep.aggregates["map50"]["diff"],

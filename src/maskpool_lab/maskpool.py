@@ -10,8 +10,8 @@ The mask is a constant input: the backward pass routes gradient only into
 the pixels of the selected region and never differentiates the mask.
 
 Like the pooling ops in ``nn``, the operator reads the input and mask as
-stride-phase planes (``nn._Phases``), where each window pixel is one
-contiguous run.  The forward sums every window plainly and sums again only
+stride-phase planes (``nn._Phases``, whose ``counts`` give n_F + n_B), where
+each window pixel is one contiguous run.  The forward sums every window plainly and sums again only
 the windows that straddle the mask boundary, with the selection; the
 backward adds each window pixel's run into gradient planes.  Window sums
 accumulate in float64, pixel by pixel in row-major window order from +0.0;
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import FLOAT, Array, _check_geometry, _Phases, as_nchw, window_counts
+from .nn import FLOAT, Array, _Phases, as_nchw
 
 
 def _check_binary(m: Array):
@@ -111,11 +111,10 @@ def maskpool2d_forward(x: Array, m: Array, kernel: int = 3, stride: int = 2, pad
     x = as_nchw(x)
     n, c, h, w = x.shape
     mb = _mask_batch(m, n, h, w)[:, None]
-    _check_geometry(h, w, kernel, stride, padding, pooling=True)
     ph = _Phases(h, w, kernel, stride, padding)
     fg = ph.runs(ph.planes(mb, 0.0))
     n_fg = ph.crop(sum(fg))                    # (n,1,oh,ow)
-    n_bg = window_counts(h, w, kernel, stride, padding) - n_fg
+    n_bg = ph.counts - n_fg
     branch_fg = n_fg >= n_bg
     counts = np.where(branch_fg, n_fg, n_bg)
     # An all-FG or all-BG window selects every valid pixel, and a padded pixel adds +0.0
@@ -149,7 +148,7 @@ def maskpool2d_backward(x: Array, m: Array, grad_out: Array, record: MaskPoolRec
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, ph.oh, ph.ow)}")
     mb = _mask_batch(m, n, h, w)[:, None]
     share = grad_out / record.counts[:, None]
-    b, r, q = np.nonzero(record.counts < window_counts(h, w, record.kernel, record.stride, record.padding))
+    b, r, q = np.nonzero(record.counts < ph.counts)
     at, branch, straddle = r * ph.wq + q, record.branch_fg[b, r, q], share[b, :, r, q]
     part = ph.widen(share, x.dtype)
 

@@ -16,7 +16,8 @@ samples (COL_BLOCK_BYTES) at a time, while the block is still in cache; an
 inference forward reuses one block buffer, a training forward fills the full
 columns it hands to the backward (``with_cols``).  The GEMMs are per sample
 either way, so blocking changes no bit.  Pooling reads its input as
-stride-phase planes (``_Phases``), where each window pixel is one contiguous
+stride-phase planes (``_Phases``, which also checks a window op's geometry and
+counts each window's valid pixels), where each window pixel is one contiguous
 run; the avg and mask pooling backwards and every conv's input-gradient fold
 add those runs into gradient planes.  Every sum runs in row-major window
 order from +0.0.  That order fixes every rounding, so it keeps checkpoints
@@ -146,7 +147,8 @@ class _Phases:
     the one plane is the padded buffer.  ``tiles`` holds each plane's (grid, input)
     indices of its in-image part."""
 
-    def __init__(self, h: int, w: int, kernel: int, stride: int, padding: int):
+    def __init__(self, h: int, w: int, kernel: int, stride: int, padding: int, pooling: bool = True):
+        _check_geometry(h, w, kernel, stride, padding, pooling)
         self.stride, self.oh = stride, out_size(h, kernel, stride, padding)
         self.ow, d, m = out_size(w, kernel, stride, padding), (kernel - 1) // stride, min(kernel, stride)
         self.rows, self.wq = self.oh + d, self.ow + d
@@ -154,6 +156,9 @@ class _Phases:
         self.starts = np.array([((i % stride) * m + j % stride) * self.size + i // stride * self.wq
                                 + j // stride for i in range(kernel) for j in range(kernel)])
         self.tiles = _taps(h, w, m, stride, padding, self.rows, self.wq)
+        self.counts = np.zeros((self.oh, self.ow), dtype=FLOAT)  # valid (non-padded) pixels per window
+        for out, _ in _taps(h, w, kernel, stride, padding, self.oh, self.ow):
+            self.counts[out] += 1
 
     def _grids(self, planes: Array) -> Array:
         """The (n, c, rows, wq) grid of each plane of (n, c, planes*size) ``planes``."""
@@ -199,15 +204,6 @@ class _Phases:
         for grid, (out, inp) in zip(self._grids(gp), self.tiles):
             gx[inp] = grid[out]
         return gx
-
-
-def window_counts(h: int, w: int, kernel: int, stride: int, padding: int) -> Array:
-    """(oh, ow) number of valid (non-padded) pixels in each window."""
-    oh, ow = out_size(h, kernel, stride, padding), out_size(w, kernel, stride, padding)
-    counts = np.zeros((oh, ow), dtype=FLOAT)
-    for out, _ in _taps(h, w, kernel, stride, padding, oh, ow):
-        counts[out] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +277,12 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
     grad_out = as_nchw(grad_out)
     oc, ic, kh, kw = p.weights.shape
     n, c, h, w = x.shape
-    oh, ow = out_size(h, kh, stride, padding), out_size(w, kw, stride, padding)
-    if grad_out.shape != (n, oc, oh, ow):
-        raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, oc, oh, ow)}")
+    ph = _Phases(h, w, kh, stride, padding, pooling=False)
+    if grad_out.shape != (n, oc, ph.oh, ph.ow):
+        raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, oc, ph.oh, ph.ow)}")
     if cols is None:
-        cols = _conv_cols(x, kh, stride, padding, oh, ow)
-    g = grad_out.reshape(n, oc, oh * ow)
+        cols = _conv_cols(x, kh, stride, padding, ph.oh, ph.ow)
+    g = grad_out.reshape(n, oc, ph.oh * ph.ow)
     # Per-sample products summed over the batch in sample order.  float32 keeps the
     # faster (K, oc) cols @ g^T when its sum is finite: every entry of a sample's cols
     # meets every entry of its g in some product, so a NaN or +-inf in either operand
@@ -307,11 +303,10 @@ def conv2d_backward(x: Array, p: LayerParams, grad_out: Array, stride: int = 1,
     # or one column (gemv, not gemm) the product is widened with +0.0 instead.  OpenBLAS's
     # sgemm computes each column the same whatever the column count; its dgemm does not for
     # a large product's last columns, so float64 (checks only) may differ in the last bits.
-    ph = _Phases(h, w, kh, stride, padding)
-    wide = ph.wq > ow and oh * ow > 1 and np.isfinite(wt).all()
+    wide = ph.wq > ph.ow and ph.oh * ph.ow > 1 and np.isfinite(wt).all()
     gcols = np.matmul(wt, ph.widen(grad_out, grad_out.dtype) if wide else g)
-    if ph.wq > ow and not wide:
-        gcols = ph.widen(gcols.reshape(n, -1, oh, ow), gcols.dtype)
+    if ph.wq > ph.ow and not wide:
+        gcols = ph.widen(gcols.reshape(n, -1, ph.oh, ph.ow), gcols.dtype)
     return ph.fold(np.moveaxis(gcols.reshape(n, ic, kh * kw, ph.span), 2, 0), x.shape, gcols.dtype)
 
 
@@ -346,7 +341,6 @@ def maxpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0):
     the first NaN when the window holds one, as ``np.argmax`` picks it."""
     x = as_nchw(x)
     n, c, h, w = x.shape
-    _check_geometry(h, w, kernel, stride, padding, pooling=True)
     ph = _Phases(h, w, kernel, stride, padding)
     planes = ph.planes(x, -np.inf)
     views = ph.runs(planes)
@@ -397,12 +391,11 @@ def avgpool2d_forward(x: Array, kernel: int, stride: int, padding: int = 0) -> A
     """Mean over the valid (non-padded) pixels of each window."""
     x = as_nchw(x)
     n, c, h, w = x.shape
-    _check_geometry(h, w, kernel, stride, padding, pooling=True)
     ph = _Phases(h, w, kernel, stride, padding)
     total = np.zeros((n, c, ph.span))
     for v in ph.runs(ph.planes(x, 0.0)):
         total += v
-    return (ph.crop(total) / window_counts(h, w, kernel, stride, padding)).astype(x.dtype)
+    return (ph.crop(total) / ph.counts).astype(x.dtype)
 
 
 def avgpool2d_backward(x: Array, grad_out: Array, kernel: int, stride: int, padding: int = 0) -> Array:
@@ -412,7 +405,7 @@ def avgpool2d_backward(x: Array, grad_out: Array, kernel: int, stride: int, padd
     ph = _Phases(h, w, kernel, stride, padding)
     if grad_out.shape != (n, c, ph.oh, ph.ow):
         raise ConfigurationError(f"grad_out shape {grad_out.shape} != expected {(n, c, ph.oh, ph.ow)}")
-    share = ph.widen(grad_out / window_counts(h, w, kernel, stride, padding), x.dtype)
+    share = ph.widen(grad_out / ph.counts, x.dtype)
     return ph.fold([share] * kernel * kernel, x.shape, x.dtype)
 
 

@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 as they complete.  Criteria 5-7 read the summary of one 3-seed study,
 `experiments.run_study(StudySpec())` at the default desk scale (2000 train /
 500 val images, 3000 iterations per run), the same study that
-`scripts/run_bias_study.py` reports; it takes about 15 min on a 2-core box.
+`scripts/run_bias_study.py` reports; it takes about 12 min on a 2-core box.
 """
 
 import json

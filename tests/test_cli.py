@@ -87,12 +87,25 @@ class TestConfigHandling:
         cfg.write_text("{not json")
         assert cli.main(["gen", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("doc, expected", [
+        ([1, 2], "c.json: config must be a JSON object"),
+        ({"schema": 1, "image_size": 64}, "missing required config key 'n_images'"),
+    ])
+    def test_config_not_an_object_or_missing_a_key_exit_1(self, tmp_path, capsys, doc, expected):
+        out = tmp_path / "d"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(doc, out=str(out)) if isinstance(doc, dict) else doc))
+        assert cli.main(["gen", "--config", str(cfg)]) == 1
+        assert expected in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
     @pytest.mark.parametrize("case, expected", [
         ("missing_file", "report file not found"),
         ("truncated_json", "byte 31"),  # the cut-off '"dataset_' string starts there
         ("no_dataset_id", "KeyError: 'dataset_id'"),
         ("no_rows", "no rows"),
         ("row_not_object", "malformed report (TypeError"),
+        ("id_not_string", "model_id, dataset_id and intervention must be strings"),
     ])
     def test_report_input_errors_exit_1(self, tmp_path, capsys, case, expected):
         doc = {"schema": 1, "model_id": "m", "dataset_id": "d", "intervention": "sweep",
@@ -104,6 +117,8 @@ class TestConfigHandling:
             text = json.dumps(dict(doc, rows=[]))
         elif case == "row_not_object":
             text = json.dumps(dict(doc, rows=[3]))
+        elif case == "id_not_string":
+            text = json.dumps(dict(doc, model_id=5))
         elif case == "truncated_json":
             text = text[:40]
         path = tmp_path / "rep.json"
@@ -256,6 +271,10 @@ class TestConfigHandling:
         ("gen", {"bias": [["a", 0.5, 0.25, 0.25]] * 3}, "bias row"),
         ("gen", {"bias": [[0.5, 0.5]] * 3}, "bias"),
         ("gen", {"bias": [[1.0, 0.0, 0.0, 0.0], [1.0]]}, "bias"),
+        ("gen", {"bias": {"spread": 0.5}}, "unknown bias keys: ['spread']"),
+        ("swap-bg", {"mode": "tiled"}, "swap-bg mode must be random|fixed, got 'tiled'"),
+        ("swap-bg", {"bg": {"generate": {"count": 3}}}, "unknown bg.generate keys: ['count']"),
+        ("train", {"optimizer": {"lr": 0.1}}, "unknown optimizer keys: ['lr']"),
     ])
     def test_mistyped_config_value_exit_1(self, tiny, tmp_path, capsys, command, cfg, key):
         data, ckpt = (str(p) for p in tiny)
@@ -375,6 +394,17 @@ class TestGen:
         assert key in err and repr(value) in err
         assert not (out / "run.json").exists()
 
+    @pytest.mark.parametrize("bias, spec", [
+        ({"concentration": 0.6}, scenegen.BiasSpec.concentrated(3, 4, 0.6)),
+        ({}, scenegen.BiasSpec.uniform(3, 4)),
+        ([[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7], [0.25] * 4],
+         scenegen.BiasSpec(np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7], [0.25] * 4]))),
+    ], ids=["concentration", "uniform", "rows"])
+    def test_bias_forms(self, tmp_path, bias, spec):
+        out = tmp_path / "d"
+        assert cli.main(["gen", "--config", gen_config(tmp_path, out, n_images=2, bias=bias)]) == 0
+        assert scenegen.load_dataset(out).bias == spec.matrix.tolist()
+
     def test_names_subset_and_order_kept(self, tmp_path):
         cfg = gen_config(tmp_path, tmp_path / "data", n_images=3, classes=["triangle", "circle"],
                          textures=["noise", "stripes"])
@@ -467,6 +497,30 @@ class TestPipeline:
             both = ~fg & first_bg
             assert np.array_equal(b.image[both], pairs[0][1].image[both])
 
+    def test_swap_bg_default_pool_is_16_generated_backgrounds(self, pipeline, tmp_path):
+        root, data, _ = pipeline
+        out = tmp_path / "swapped"
+        assert cli.main(["swap-bg", "--config", write_config(tmp_path / "s.json", dataset=str(data),
+                                                             seed=2, out=str(out))]) == 0
+        records = scenegen.load_dataset(data).load_all()
+        pool = scenegen.generate_bg_pool(16, records[0].image.shape[0], seed=2)
+        for want, got in zip(records, scenegen.load_dataset(out).load_all(), strict=True):
+            assert np.array_equal(scenegen.composite_random_bg(want, pool, 2).image, got.image)
+
+    def test_swap_bg_fixed_uses_the_fixed_bg_runs_first_background(self, pipeline, tmp_path):
+        root, data, ckpts = pipeline
+        out = tmp_path / "swapped"
+        cfg = write_config(tmp_path / "s.json", dataset=str(data), mode="fixed",
+                           bg={"generate": {"n": 7}}, seed=4, out=str(out))
+        assert cli.main(["swap-bg", "--config", cfg]) == 0
+        records = scenegen.load_dataset(data).load_all()
+        pool = scenegen.generate_bg_pool(7, records[0].image.shape[0], seed=4)
+        rep = experiments.run_fixed_bg_eval(detector.load_checkpoint(ckpts["max"]), records, pool,
+                                            repetitions=1, seed=4)
+        want = scenegen.composite_fixed_bg(records, pool[rep.rows[0].repetition])
+        for a, b in zip(want, scenegen.load_dataset(out).load_all(), strict=True):
+            assert np.array_equal(a.image, b.image)
+
     def test_swap_bg_reads_ppm_directory(self, pipeline, tmp_path):
         root, data, _ = pipeline
         bg_dir = tmp_path / "bgs"
@@ -486,18 +540,22 @@ class TestPipeline:
             bg = b.image[b.fg_mask == 0]
             assert any(np.all(bg == c) for c in colours)
 
-    @pytest.mark.parametrize("case", ["missing", "file"])
+    @pytest.mark.parametrize("case", ["missing", "file", "no images"])
     def test_swap_bg_bad_dir_exit_1(self, pipeline, tmp_path, capsys, case):
         root, data, _ = pipeline
         bg_dir = tmp_path / "bgs"
         if case == "file":
             bg_dir.write_text("a file, not a directory")
+        elif case == "no images":
+            bg_dir.mkdir()
+            (bg_dir / "notes.txt").write_text("not an image")
         out = tmp_path / "swapped"
         cfg = write_config(tmp_path / "s.json", dataset=str(data), bg={"dir": str(bg_dir)},
                            out=str(out))
         assert cli.main(["swap-bg", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert "bg.dir" in err and str(bg_dir) in err
+        assert "no background images" in err if case == "no images" else "bg.dir" in err
+        assert str(bg_dir) in err
         assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize("bg, names", [
@@ -542,6 +600,14 @@ class TestPipeline:
             outs.append(out)
         assert (outs[0] / "sweep.json").read_bytes() == (outs[1] / "sweep.json").read_bytes()
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+    def test_perturb_of_a_manifest_path_is_named_by_its_directory(self, pipeline, tmp_path):
+        root, data, ckpts = pipeline
+        out = tmp_path / "p"
+        cfg = write_config(tmp_path / "p.json", dataset=str(data / "manifest.json"),
+                           checkpoint=str(ckpts["max"]), weights=[1.0], out=str(out))
+        assert cli.main(["perturb", "--config", cfg]) == 0
+        assert json.loads((out / "sweep.json").read_text())["dataset_id"] == data.name
 
     def test_perturb_threads_flag_same_bytes(self, pipeline, tmp_path):
         root, data, ckpts = pipeline
@@ -623,7 +689,8 @@ class TestPipeline:
 
     def test_report_diff_of_checkpoints_with_one_name_keeps_both_columns(self, pipeline, tmp_path):
         """``train`` always writes checkpoint.mplb, so both reports carry the model id
-        ``checkpoint``; the diff labels them a:checkpoint and b:checkpoint."""
+        ``checkpoint``; the diff labels them a:checkpoint and b:checkpoint.  It compares
+        each sweep's in-domain w = 1 row, not its first (w = 0.5) row."""
         root, data, ckpts = pipeline
         sweeps = {}
         for variant in ("max", "mask"):
@@ -640,7 +707,7 @@ class TestPipeline:
         assert cli.main(["report", "--config", cfg]) == 0
         diff = json.loads((out / "diff.json").read_text())
         assert (diff["label_a"], diff["label_b"]) == ("a:checkpoint", "b:checkpoint")
-        hf = {v: reps[v]["rows"][0]["per_class_hf"] for v in reps}
+        hf = {v: next(r for r in reps[v]["rows"] if r["repetition"] == 1.0)["per_class_hf"] for v in reps}
         assert [r["fg"] for r in diff["rows"]] == sorted(set(hf["max"]) | set(hf["mask"]))
         for r in diff["rows"]:
             a, b = (hf[v][r["fg"]][2] if r["fg"] in hf[v] else None for v in ("max", "mask"))

@@ -33,7 +33,7 @@ def small_records(n=16, size=64, seed=0):
 def batch_loss(model, records):
     cfg = model.cfg
     x = detector.images_to_tensor(np.stack([r.image for r in records]))
-    levels = detector.mask_levels(cfg, [r.fg_mask for r in records])
+    levels = detector.mask_levels([r.fg_mask for r in records], detector.build_ops(cfg))
     head = detector.forward(model, x, levels)
     targets = detector.assign_targets([r.instances for r in records],
                                       cfg.grid_size, cfg.grid_stride)
@@ -146,7 +146,7 @@ class TestForward:
         ops = detector.build_ops(model.cfg, 0.5, True)
         levels = maskpool.build_pyramid([np.ones((64, 64), np.uint8)], {2})
         with pytest.raises(ConfigurationError, match=r"masks required: .* \[4, 8\]"):
-            detector.Pass(ops, model, levels, 0.5)
+            detector.Pass(ops, model, levels)
         with pytest.raises(ConfigurationError, match=r"masks required: .* \[2, 4, 8\]"):
             detector.Pass(ops, model)
 
@@ -171,9 +171,9 @@ class TestForward:
             out = detector.forward(model, x, levels, bg_weight=w, perturb_all_stages=True)
             for attr in ("objectness", "class_logits", "box_reg"):
                 assert getattr(out, attr).tobytes() == getattr(base, attr).tobytes()
-            run = detector.Pass(ops, model, levels, w)
+            run = detector.Pass(detector.build_ops(model.cfg, w, True), model, levels)
             cur = nn.as_nchw(x)
-            for op in ops:
+            for op in run.ops:
                 nxt = op.forward(run, cur)
                 if isinstance(op, detector.BgScale):
                     assert nxt.tobytes() == cur.tobytes()
@@ -457,7 +457,7 @@ def test_backward_releases_conv_columns(variant):
     cfg = small_cfg(variant)
     ops = detector.build_ops(cfg)
     model = detector.build_model(cfg, seed=1)
-    levels = detector.mask_levels(cfg, [r.fg_mask for r in records])
+    levels = detector.mask_levels([r.fg_mask for r in records], detector.build_ops(cfg))
     step = detector.Pass(ops, model, levels, keep=True)
     raw = step.forward(detector.images_to_tensor(np.stack([r.image for r in records])))
     convs = [op for op in ops if isinstance(op, detector.Conv)]
@@ -472,10 +472,10 @@ def test_inference_pass_keeps_nothing(variant):
     records = small_records(2)
     cfg = small_cfg(variant)
     ops = detector.build_ops(cfg, 0.5)
-    levels = detector.mask_levels(cfg, [r.fg_mask for r in records], 0.5)
+    levels = detector.mask_levels([r.fg_mask for r in records], ops)
     x = detector.images_to_tensor(np.stack([r.image for r in records]))
-    detector.Pass(ops, detector.build_model(cfg, seed=1), levels, 0.5).forward(x)
-    fields = {"name", "stride", "padding", "variant", "mask_stride"}  # the ops' definitions
+    detector.Pass(ops, detector.build_model(cfg, seed=1), levels).forward(x)
+    fields = {"name", "stride", "padding", "variant", "weight", "mask_stride"}  # the ops' definitions
     assert not [op for op in ops if set(vars(op)) - fields]
 
 
@@ -495,7 +495,7 @@ class TestWholeNetworkGradient:
         stem, *ops = detector.build_ops(cfg)
         assert stem.name == "stem"
         masks = [(rng.random((32, 32)) < 0.4).astype(np.uint8) for _ in range(2)]
-        levels = detector.mask_levels(cfg, masks)
+        levels = detector.mask_levels(masks, detector.build_ops(cfg))
         instances = [[scenegen.Instance(1, (4.0, 6.0, 20.0, 22.0))],
                      [scenegen.Instance(2, (10.0, 3.0, 30.0, 17.0)),
                       scenegen.Instance(0, (1.0, 20.0, 9.0, 31.0))]]
@@ -564,6 +564,13 @@ class TestCheckpoint:
         ckpt = detector.checkpoint_from_model(model, seed=1, iterations=0)
         ckpt.tensors["neck.weight"] = np.zeros((1, 1, 1, 1), np.float32)
         with pytest.raises(ConfigurationError, match="neck.weight"):
+            detector.model_from_checkpoint(ckpt)
+
+    def test_wrong_shape_tensor_named(self):
+        model = detector.build_model(small_cfg("max"), seed=1)
+        ckpt = detector.checkpoint_from_model(model, seed=1, iterations=0)
+        ckpt.tensors["stage2.weight"] = ckpt.tensors["stage2.weight"][:, :1]
+        with pytest.raises(ConfigurationError, match="checkpoint tensor stage2 has wrong shape"):
             detector.model_from_checkpoint(ckpt)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

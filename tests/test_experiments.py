@@ -20,7 +20,7 @@ from test_decode_bitwise import fingerprint
 def best_scores(model, records):
     """Each image's best decoded score, with no score threshold."""
     head = detector.forward(model, detector.images_to_tensor(np.stack([r.image for r in records])),
-                            detector.mask_levels(model.cfg, [r.fg_mask for r in records]))
+                            detector.mask_levels([r.fg_mask for r in records], detector.build_ops(model.cfg)))
     return [max(d.score for d in dets) for dets in
             detector.decode(head, dataclasses.replace(model.cfg, score_threshold=0.0))]
 
@@ -84,7 +84,7 @@ class TestSettingsInOnePass:
         records, names, ckpt_max, ckpt_mask = world
         model = detector.model_from_checkpoint(ckpt_max if variant == "max" else ckpt_mask)
         masks = [r.fg_mask for r in records]
-        settings = [(detector.mask_levels(model.cfg, masks, w, every), w, every)
+        settings = [(detector.mask_levels(masks, detector.build_ops(model.cfg, w, every)), w, every)
                     for w, every in ((1.0, False), (0.5, False), (2.0, True))]
         results = experiments.evaluate_records(model, records, names, batch_size=4,
                                                settings=settings)
@@ -105,7 +105,8 @@ class TestSettingsInOnePass:
         got = experiments.evaluate_records(model, records, names, batch_size=4,
                                            settings=[(None, w, every) for w, every in grid])
         want = experiments.evaluate_records(model, records, names, batch_size=4, settings=[
-            (detector.mask_levels(model.cfg, masks, w, every), w, every) for w, every in grid])
+            (detector.mask_levels(masks, detector.build_ops(model.cfg, w, every)), w, every)
+            for w, every in grid])
         assert got == want
         assert all(kept(r) > 0 for r in got)
         assert experiments.evaluate_records(model, records, names, batch_size=4) == got[0]
@@ -135,7 +136,7 @@ class TestSettingsInOnePass:
         detections; frequent thread switches must not move a result."""
         records, names, _, ckpt_mask = world
         model = detector.model_from_checkpoint(ckpt_mask)
-        levels = detector.mask_levels(model.cfg, [r.fg_mask for r in records], 0.5)
+        levels = detector.mask_levels([r.fg_mask for r in records], detector.build_ops(model.cfg, 0.5))
         settings = [(levels, w, False) for w in (0.5, 1.0, 1.5, 2.0, 2.5)]
         want = experiments.evaluate_records(model, records, names, batch_size=4, settings=settings)
         interval = sys.getswitchinterval()
@@ -174,7 +175,7 @@ class TestArrayScoring:
         else:
             model = self.model(ckpt, records)
         masks = [r.fg_mask for r in records]
-        settings = [(detector.mask_levels(model.cfg, masks, w, every), w, every)
+        settings = [(detector.mask_levels(masks, detector.build_ops(model.cfg, w, every)), w, every)
                     for w, every in ((1.0, False), (0.5, False), (2.0, True))]
         results = experiments.evaluate_records(model, records, names, batch_size=4, settings=settings,
                                                threads=2)
@@ -193,8 +194,8 @@ class TestArrayScoring:
         records, names, ckpt_max, ckpt_mask = world
         model = self.model(ckpt_max if variant == "max" else ckpt_mask, records)
         r = experiments.evaluate_records(model, records, names, batch_size=len(records))
-        head = detector.forward(model, detector.images_to_tensor(np.stack([r.image for r in records])),
-                                detector.mask_levels(model.cfg, [r.fg_mask for r in records]))
+        levels = detector.mask_levels([r.fg_mask for r in records], detector.build_ops(model.cfg))
+        head = detector.forward(model, detector.images_to_tensor(np.stack([r.image for r in records])), levels)
         assert list(r.dets_by_image) == [rec.image_id for rec in records]
         for rec, dets in zip(records, detector.to_detections(*detector.kept_rows(head, model.cfg))):
             assert fingerprint(r.dets_by_image[rec.image_id]) == fingerprint(dets)
@@ -410,6 +411,15 @@ class TestReports:
         assert len(lines) == 2
         assert lines[0].startswith("model_id,dataset_id,intervention,repetition,map50")
 
+    @pytest.mark.parametrize("intervention, labels, picked", [
+        ("bg_activation_sweep", (0.5, 0.75, 1.0, 1.25), 2), ("bg_activation_sweep", (0.5, 2.0), 0),
+        ("boundary_ablation", (0.8, "baseline", 1.2), 1), ("random_bg", (0, 1, 2), 0),
+        ("fixed_bg", (3, 1), 0)])
+    def test_in_domain_row(self, intervention, labels, picked):
+        """The unperturbed row by intervention: a random_bg repetition 1 is not it, though 1 == 1.0."""
+        rows = [experiments.ReportRow(k, float(i), {}, {}) for i, k in enumerate(labels)]
+        assert experiments.ExperimentReport("m", "d", intervention, rows).in_domain is rows[picked]
+
     def test_schema_field_checked(self, tmp_path):
         with pytest.raises(ConfigurationError):
             experiments.ExperimentReport.from_dict({"schema": 2, "model_id": "x",
@@ -503,7 +513,7 @@ class TestStudy:
     @pytest.mark.parametrize("key,value", [
         ("seeds", ()), ("seeds", (0, -1)), ("train_images", 0), ("val_images", 0), ("image_size", 40),
         ("image_size", 60), ("iterations", -1), ("batch_size", 0), ("lr", 0.0), ("bias", 1.5),
-        ("bg_pool", 0), ("repetitions", 0)])
+        ("bg_pool", 0), ("repetitions", 0), ("seeds", (0, 0))])
     def test_bad_field_named_before_any_work(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             experiments.StudySpec(**{key: value})

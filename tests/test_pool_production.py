@@ -25,7 +25,8 @@ SLOT = (3, 2, 1)  # the detector's pooling slot: kernel, stride, padding
 def slot_masks():
     """(16, 64, 64) masks at the slot's resolution for 128 px scenegen records."""
     records = scenegen.generate_dataset(16, 128, seed=12)
-    levels = detector.mask_levels(detector.ModelConfig(pooling_variant="mask"), [r.fg_mask for r in records])
+    levels = detector.mask_levels([r.fg_mask for r in records],
+                                  detector.build_ops(detector.ModelConfig(pooling_variant="mask")))
     (masks,) = levels.values()
     assert masks.shape == (16, 64, 64)
     return masks
@@ -71,7 +72,7 @@ def test_maskpool_at_slot_shape(slot_masks, n, kind):
     m = slot_masks[:n]
     y, record = maskpool.maskpool2d_forward(x, m, *SLOT)
     y_ref, record_ref = ref.maskpool2d_forward(x, m, *SLOT)
-    straddle = record.counts < nn.window_counts(64, 64, *SLOT)
+    straddle = record.counts < nn._Phases(64, 64, *SLOT).counts
     assert 0.02 < straddle.mean() < 0.2  # the straddling windows' own path is exercised
     assert_bitwise(y, y_ref)
     assert_bitwise(record.branch_fg, record_ref.branch_fg)

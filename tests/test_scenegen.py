@@ -179,7 +179,7 @@ class TestManifestIO:
     @pytest.mark.parametrize("case", ["entry without id", "instance without class_id",
                                       "non-numeric bbox", "instances not a list",
                                       "images not a list", "class_id past the classes",
-                                      "negative class_id"])
+                                      "negative class_id", "entry not an object"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, case):
         scenegen.generate_dataset(1, 64, seed=1, out_dir=tmp_path)
         doc = json.loads((tmp_path / "manifest.json").read_text())
@@ -196,6 +196,9 @@ class TestManifestIO:
             entry["instances"] = 5
         elif case.endswith("class_id"):
             entry["instances"][0]["class_id"] = len(doc["classes"]) if "past" in case else -1
+        elif case == "entry not an object":
+            doc["images"][0] = 5
+            named = "image entry 0 is not an object"
         else:
             doc["images"] = 3
             named = "'images' is not a list"
